@@ -262,16 +262,7 @@ func main() {
 	for _, d := range designs {
 		doc.Headline["norm_exec_geomean_"+d.String()] = norm[d].GeoMean()
 	}
-	// Harness performance headline for the trajectory.
-	if m.Simulated > 0 {
-		doc.Headline["mean_run_wall_ms"] = doc.SimWallMS / float64(m.Simulated)
-	}
-	if elapsed > 0 {
-		// Summed per-run wall-clock over elapsed time: the parallel
-		// overlap factor. With free cores this equals the wall-clock
-		// speedup over a serial sweep.
-		doc.Headline["parallel_overlap"] = float64(m.SimWall) / float64(elapsed)
-	}
+	harnessHeadlines(doc.Headline, m, elapsed)
 	var prev *document
 	if *diffAgainst != "" {
 		prev, err = readArtifact(*diffAgainst)
@@ -455,6 +446,21 @@ func metricChanged(old, new, tol float64) bool {
 		scale = a
 	}
 	return math.Abs(new-old) > tol*scale
+}
+
+// harnessHeadlines sets mean_run_wall_ms (simulation cost per run) and
+// parallel_overlap (cost over elapsed time; with free cores, the speedup
+// over a serial sweep). The cost is SimWall + LaneWall, as in perfbench's
+// experiments.parallel_overlap: lane-warmed runs restore warm-ups the
+// passes paid for, so leaving LaneWall out would hide that work.
+func harnessHeadlines(h map[string]float64, m experiments.Metrics, elapsed time.Duration) {
+	cost := m.SimWall + m.LaneWall
+	if m.Simulated > 0 {
+		h["mean_run_wall_ms"] = float64(cost.Microseconds()) / 1000 / float64(m.Simulated)
+	}
+	if elapsed > 0 {
+		h["parallel_overlap"] = float64(cost) / float64(elapsed)
+	}
 }
 
 // readArtifact loads and parses a previous trajectory artifact.

@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tlc"
+	"tlc/internal/experiments"
 )
 
 // TestDiffMetricsMissingArtifact covers the common trajectory mistake:
@@ -102,14 +104,14 @@ func TestDiffMetricsTolerance(t *testing.T) {
 		old, new, tol float64
 		changed       bool
 	}{
-		{100, 100, 0, false},         // identical, exact
-		{100, 100.0001, 0, true},     // any drift, exact
-		{100, 102, 0.03, false},      // 2% drift inside a 3% band
-		{100, 104, 0.03, true},       // 4% drift outside it
-		{102, 100, 0.03, false},      // symmetric: direction does not matter
-		{0, 0, 0.03, false},          // both zero
-		{0, 1, 0.03, true},           // zero to nonzero is a full-scale change
-		{-100, -102, 0.03, false},    // negative values use magnitudes
+		{100, 100, 0, false},           // identical, exact
+		{100, 100.0001, 0, true},       // any drift, exact
+		{100, 102, 0.03, false},        // 2% drift inside a 3% band
+		{100, 104, 0.03, true},         // 4% drift outside it
+		{102, 100, 0.03, false},        // symmetric: direction does not matter
+		{0, 0, 0.03, false},            // both zero
+		{0, 1, 0.03, true},             // zero to nonzero is a full-scale change
+		{-100, -102, 0.03, false},      // negative values use magnitudes
 		{1e-12, 1.02e-12, 0.03, false}, // relative, not absolute
 	}
 	for _, c := range cases {
@@ -264,5 +266,26 @@ func TestDiffHeadline(t *testing.T) {
 	// Exact mode still bites on the small drift.
 	if c, _ := diffHeadline("prev.json", prev, cur, 0, io.Discard); c != 4 {
 		t.Errorf("%d headline values changed at tol 0, want all 4", c)
+	}
+}
+
+// TestHarnessHeadlinesCountLaneWall: both harness headlines charge the lane
+// passes' wall next to the runs' own, the same sum as perfbench's
+// experiments.parallel_overlap.
+func TestHarnessHeadlinesCountLaneWall(t *testing.T) {
+	m := experiments.Metrics{Simulated: 4, SimWall: 300 * time.Millisecond, LaneWall: 500 * time.Millisecond}
+	h := map[string]float64{}
+	harnessHeadlines(h, m, 400*time.Millisecond)
+	if got := h["mean_run_wall_ms"]; got != 200 {
+		t.Errorf("mean_run_wall_ms = %v, want 200 ((300+500) ms / 4 runs)", got)
+	}
+	if got := h["parallel_overlap"]; got != 2 {
+		t.Errorf("parallel_overlap = %v, want 2 ((300+500) ms / 400 ms)", got)
+	}
+
+	h = map[string]float64{}
+	harnessHeadlines(h, experiments.Metrics{}, 0)
+	if len(h) != 0 {
+		t.Errorf("empty sweep set headlines %v", h)
 	}
 }

@@ -84,6 +84,9 @@ type timing struct {
 	mu    sync.Mutex
 	Grids []gridJSON `json:"grids"`
 	Lanes lanesJSON  `json:"lanes"`
+	// lanes collects the local grids' lane counters; write copies them
+	// into Lanes.
+	lanes experiments.LaneCounters
 }
 
 type gridJSON struct {
@@ -134,6 +137,12 @@ func (t *timing) recordGrid(sweep string, specs []runSpec, results []tlc.Result,
 func (t *timing) write(path string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.Lanes = lanesJSON{
+		Groups:        t.lanes.Groups.Load(),
+		LanesWarmed:   t.lanes.Lanes.Load(),
+		BatchesShared: t.lanes.Batches.Load(),
+		ScalarPoints:  t.lanes.Scalar.Load(),
+	}
 	buf, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
@@ -219,7 +228,6 @@ func main() {
 func localGrid() func([]runSpec) ([]tlc.Result, []tlc.MetricsSnapshot, []float64, error) {
 	var mu sync.Mutex
 	suites := make(map[string]*experiments.Suite)
-	planner := experiments.NewLanePlanner()
 	run := func(s runSpec) (tlc.Result, tlc.MetricsSnapshot, error) {
 		key := s.opt.ContentKey()
 		mu.Lock()
@@ -237,43 +245,26 @@ func localGrid() func([]runSpec) ([]tlc.Result, []tlc.MetricsSnapshot, []float64
 		return res, snap, nil
 	}
 	return func(specs []runSpec) ([]tlc.Result, []tlc.MetricsSnapshot, []float64, error) {
-		// Lane phase: grid points sharing a workload stream (every spec
-		// here shares the invocation's checkpoint store) warm once through
-		// a lane-parallel pass; the runs below then restore instead of
-		// re-warming. Results are pinned bit-identical either way.
+		// Grid points sharing a workload stream (every spec here shares the
+		// invocation's checkpoint store) warm once through a lane pass, and
+		// run as soon as it lands. Results are pinned bit-identical either
+		// way, and land by index.
 		points := make([]experiments.GridPoint, len(specs))
 		for i, s := range specs {
 			points[i] = experiments.GridPoint{Design: s.design, Bench: s.bench, Opt: s.opt}
 		}
-		mu.Lock()
-		groups := planner.Plan(points)
-		timings.Lanes.ScalarPoints += uint64(planner.ScalarPoints())
-		for i := range groups {
-			g := &groups[i]
-			if len(g.Designs) < 2 {
-				continue
-			}
-			if st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt); err == nil && st.Lanes > 0 {
-				timings.Lanes.Groups++
-				timings.Lanes.LanesWarmed += uint64(st.Lanes)
-				timings.Lanes.BatchesShared += st.Batches
-			}
-		}
-		mu.Unlock()
-
 		results := make([]tlc.Result, len(specs))
 		snaps := make([]tlc.MetricsSnapshot, len(specs))
 		walls := make([]float64, len(specs))
-		errs := make([]error, len(specs))
-		grid(len(specs), func(i int) {
+		err := experiments.Grid{Points: points, Lanes: &timings.lanes, Run: func(i int) error {
 			start := time.Now()
-			results[i], snaps[i], errs[i] = run(specs[i])
+			var err error
+			results[i], snaps[i], err = run(specs[i])
 			walls[i] = float64(time.Since(start).Microseconds()) / 1000
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, nil, err
-			}
+			return err
+		}}.Execute(*par)
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		return results, snaps, walls, nil
 	}
@@ -328,23 +319,6 @@ func remoteGrid(base string) func([]runSpec) ([]tlc.Result, []tlc.MetricsSnapsho
 		}
 		return results, snaps, walls, nil
 	}
-}
-
-// grid runs fn over n points with -par-bounded concurrency; results land
-// by index so rendering order is independent of completion order.
-func grid(n int, fn func(i int)) {
-	sem := make(chan struct{}, max(1, *par))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 func memorySweep(bench string) {

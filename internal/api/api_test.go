@@ -57,6 +57,17 @@ func TestRunRequestKey(t *testing.T) {
 	}
 }
 
+// TestRunRequestValidateRejectsBitErrorRate: the service inherits the
+// option ranges, so a rate that would have hung a worker is a 400.
+func TestRunRequestValidateRejectsBitErrorRate(t *testing.T) {
+	for _, ber := range []float64{2, -1} {
+		req := RunRequest{Design: "TLC", Benchmark: "gcc", Options: RunOptions{BitErrorRate: ber}}
+		if _, err := req.Validate(); err == nil {
+			t.Errorf("BitErrorRate %v accepted", ber)
+		}
+	}
+}
+
 func TestParseDesignRoundTrip(t *testing.T) {
 	for _, d := range tlc.Designs() {
 		got, err := ParseDesign(d.String())

@@ -39,7 +39,7 @@ type Suite struct {
 	OnRun func(RunEvent)
 
 	// NoLanes, when set before the first RunAll, disables the lane-parallel
-	// warm phase: every grid point warms scalar inside its own run. Results
+	// warm passes: every grid point warms scalar inside its own run. Results
 	// are bit-identical either way — the switch exists so artifacts and
 	// benchmarks can measure the scalar baseline.
 	NoLanes bool
@@ -56,10 +56,8 @@ type Suite struct {
 	runMetrics map[runKey]tlc.MetricsSnapshot
 	agg        map[string]uint64
 
-	// planner is the suite's reusable lane-grid planner, guarded by its own
-	// mutex so a long-held plan never blocks the run cache.
-	planMu  sync.Mutex
-	planner *LanePlanner
+	// lanes collects the lane counters of every grid the suite executes.
+	lanes LaneCounters
 }
 
 // RunEvent describes one completed underlying simulation.
@@ -361,65 +359,46 @@ func (s *Suite) Seed(d tlc.Design, bench string, res tlc.Result, sres *tlc.Sampl
 // Metrics reports a snapshot of the suite's cache and timing counters.
 func (s *Suite) Metrics() Metrics {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m
+	m := s.m
+	s.mu.Unlock()
+	m.LaneGroups = s.lanes.Groups.Load()
+	m.LanesWarmed = s.lanes.Lanes.Load()
+	m.LaneBatches = s.lanes.Batches.Load()
+	m.LaneScalarPoints = s.lanes.Scalar.Load()
+	m.LaneWall = s.lanes.Wall()
+	return m
 }
 
-// RunAll simulates the full design x benchmark grid, bounded by par
-// workers, and returns the first error encountered (concurrently failing
-// runs report one of them). Results land in the cache, so subsequent table
-// builds are pure lookups; on error the remaining grid is still attempted,
-// keeping the cache state independent of error ordering.
+// RunAll simulates the full design x benchmark grid through the grid
+// executor on par workers and returns the error of the first failing point
+// in grid order. Results land in the cache, so subsequent table builds are
+// pure lookups; on error the remaining grid is still attempted, keeping the
+// cache state independent of error ordering.
 func (s *Suite) RunAll(designs []tlc.Design, benches []string, par int) error {
-	if par < 1 {
-		par = 1
-	}
-	// Lane phase: pay each benchmark's warm-up once for all designs through
-	// a shared stream, so the workers below restore checkpoints instead of
-	// re-warming per point. Purely an accelerator — results are pinned
-	// bit-identical to scalar warm-up — and a no-op without a checkpoint
-	// store.
 	points := make([]GridPoint, 0, len(designs)*len(benches))
 	for _, d := range designs {
 		for _, b := range benches {
 			points = append(points, GridPoint{Design: d, Bench: b, Opt: s.Opt})
 		}
 	}
-	s.warmLanes(points, par)
-	type job struct {
-		d tlc.Design
-		b string
-	}
-	jobs := make(chan job)
-	errs := make(chan error, par)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var first error
-			for j := range jobs {
-				if _, err := s.RunErr(j.d, j.b); err != nil && first == nil {
-					first = err
-				}
-			}
-			errs <- first
-		}()
-	}
-	for _, d := range designs {
-		for _, b := range benches {
-			jobs <- job{d, b}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.grid(points, func(i int) error {
+		_, err := s.RunErr(points[i].Design, points[i].Bench)
+		return err
+	}).Execute(par)
+}
+
+// WarmGrid runs only the lane passes of an explicit grid, bounded by par
+// workers. Callers that then run the same points — through any executor
+// sharing the points' checkpoint stores — restore the pre-paid warm states
+// instead of re-warming.
+func (s *Suite) WarmGrid(points []GridPoint, par int) {
+	s.grid(points, nil).Execute(par)
+}
+
+// grid wraps points for the executor with the suite's lane switch and
+// counters.
+func (s *Suite) grid(points []GridPoint, run func(int) error) Grid {
+	return Grid{Points: points, Run: run, NoLanes: s.NoLanes, Lanes: &s.lanes}
 }
 
 // Prefetch runs the given design/benchmark grid concurrently, bounded by

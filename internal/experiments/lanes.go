@@ -1,16 +1,9 @@
 package experiments
 
-import (
-	"sync"
-	"time"
-
-	"tlc"
-)
+import "tlc"
 
 // GridPoint is one point of an explicit sweep grid: the full configuration
-// of one run. The lane planner consumes grids in this shape; executors keep
-// running points however they already do (suites, server submits) — the
-// plan only decides which warm-ups can be paid once, together.
+// of one run, the shape the lane planner and the grid executor consume.
 type GridPoint struct {
 	Design tlc.Design
 	Bench  string
@@ -22,7 +15,7 @@ type GridPoint struct {
 // warm length, same checkpoint store — so one lane-parallel pass
 // (tlc.WarmLanes) warms all of them off a single generator traversal.
 // Groups with fewer than two designs gain nothing from sharing; planners
-// report them and executors leave those points to scalar warm-up.
+// report them and the executor leaves those points to scalar warm-up.
 type LaneGroup struct {
 	Bench   string
 	Designs []tlc.Design
@@ -53,6 +46,8 @@ type LanePlanner struct {
 	idx    map[laneKey]int
 	groups []LaneGroup
 	scalar int
+	// of[i] is point i's group index, -1 for a point with no store.
+	of []int
 }
 
 // NewLanePlanner returns an empty planner.
@@ -71,10 +66,12 @@ func (p *LanePlanner) Plan(points []GridPoint) []LaneGroup {
 	}
 	p.groups = p.groups[:0]
 	p.scalar = 0
+	p.of = p.of[:0]
 	for i := range points {
 		pt := &points[i]
 		if pt.Opt.Checkpoints == nil {
 			p.scalar++
+			p.of = append(p.of, -1)
 			continue
 		}
 		warmSeed := pt.Opt.WarmSeed
@@ -97,6 +94,7 @@ func (p *LanePlanner) Plan(points []GridPoint) []LaneGroup {
 			}
 			p.idx[k] = gi
 		}
+		p.of = append(p.of, gi)
 		g := &p.groups[gi]
 		if !containsDesign(g.Designs, pt.Design) {
 			g.Designs = append(g.Designs, pt.Design)
@@ -124,67 +122,4 @@ func containsDesign(ds []tlc.Design, d tlc.Design) bool {
 		}
 	}
 	return false
-}
-
-// warmLanes is the lane phase of grid execution: plan the grid, then run
-// one lane-parallel warm pass per shareable group, bounded by par. It only
-// pre-pays warm-ups into the checkpoint store — the points themselves still
-// execute exactly as before, restoring what the pass stored. Pass errors
-// (cancellation) are dropped deliberately: the pass is an accelerator, and
-// whatever it could not warm is warmed scalar by the runs, which surface
-// their own errors.
-func (s *Suite) warmLanes(points []GridPoint, par int) {
-	if s.NoLanes {
-		return
-	}
-	if par < 1 {
-		par = 1
-	}
-	s.planMu.Lock()
-	if s.planner == nil {
-		s.planner = NewLanePlanner()
-	}
-	groups := s.planner.Plan(points)
-	scalar := s.planner.ScalarPoints()
-	s.planMu.Unlock()
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for i := range groups {
-		g := &groups[i]
-		if len(g.Designs) < 2 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
-			if err != nil || st.Lanes == 0 {
-				return
-			}
-			s.mu.Lock()
-			s.m.LaneGroups++
-			s.m.LanesWarmed += uint64(st.Lanes)
-			s.m.LaneBatches += st.Batches
-			s.m.LaneWall += time.Since(start)
-			s.mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	s.mu.Lock()
-	s.m.LaneScalarPoints += uint64(scalar)
-	s.mu.Unlock()
-}
-
-// WarmGrid plans and executes the lane-parallel warm phase for an explicit
-// grid, bounded by par workers. Callers that then run the same points —
-// through this suite or any executor sharing the points' checkpoint
-// stores — restore the pre-paid warm states instead of re-warming. It is
-// the entry point for grid executors outside RunAll (tlcsweep's local
-// path, the tlcd sweep and figure pipelines).
-func (s *Suite) WarmGrid(points []GridPoint, par int) {
-	s.warmLanes(points, par)
 }

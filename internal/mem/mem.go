@@ -67,10 +67,14 @@ func Log2(v int) int {
 // all power-of-two strides (notably the L1-capacity stride between a
 // streaming load and its own dirty-victim writeback) from bank conflicts,
 // while remaining trivially invertible given the remaining high bits.
+//
+// The fold is the XOR of v >> (k·bits) over every k, computed in
+// log2(64/bits) doubling steps: after the step with shift s, h holds the
+// XOR of v >> (k·bits) for k < 2s/bits. bits must be positive.
 func FoldHash(v uint64, bits int) uint64 {
-	var h uint64
-	for x := v; x != 0; x >>= uint(bits) {
-		h ^= x
+	h := v
+	for s := uint(bits); s < 64; s <<= 1 {
+		h ^= h >> s
 	}
 	return h & (1<<uint(bits) - 1)
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +163,31 @@ func TestFoldHashUniform(t *testing.T) {
 	for v, n := range counts {
 		if n < want*9/10 || n > want*11/10 {
 			t.Fatalf("bank %d gets %d of %d blocks: not uniform", v, n, want)
+		}
+	}
+}
+
+// foldHashLoop is the data-dependent fold FoldHash replaced, kept as its
+// oracle: XOR every bits-wide shift of v until it runs out of set bits.
+func foldHashLoop(v uint64, bits int) uint64 {
+	var h uint64
+	for x := v; x != 0; x >>= uint(bits) {
+		h ^= x
+	}
+	return h & (1<<uint(bits) - 1)
+}
+
+func TestFoldHashMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vals := []uint64{0, ^uint64(0)}
+	for i := 0; i < 10000; i++ {
+		vals = append(vals, rng.Uint64(), rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	for bits := 1; bits <= 8; bits++ {
+		for _, v := range vals {
+			if got, want := FoldHash(v, bits), foldHashLoop(v, bits); got != want {
+				t.Fatalf("FoldHash(%#x, %d) = %#x, loop gives %#x", v, bits, got, want)
+			}
 		}
 	}
 }

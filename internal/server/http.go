@@ -130,16 +130,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// Lane phase: one shared warm pass per group of grid points on the
-	// same workload stream, so the submits below restore checkpoints
-	// instead of each re-warming. Validate passed, so every point's
-	// design resolves.
 	points := make([]experiments.GridPoint, len(sreq.Points))
 	for i, p := range sreq.Points {
-		d, _ := p.Validate()
+		d, _ := p.Validate() // Validate passed, so every design resolves
 		points[i] = experiments.GridPoint{Design: d, Bench: p.Benchmark, Opt: p.Options.Options()}
 	}
-	s.laneWarm(ctx, points)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -147,7 +142,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var (
 		wmu sync.Mutex
 		enc = json.NewEncoder(w)
-		wg  sync.WaitGroup
 	)
 	emit := func(p api.SweepPoint) {
 		wmu.Lock()
@@ -157,19 +151,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
-	for i, p := range sreq.Points {
-		wg.Add(1)
-		go func(i int, p api.RunRequest) {
-			defer wg.Done()
-			rec, herr := s.submit(ctx, p, true)
-			if herr != nil {
-				emit(api.SweepPoint{Index: i, Error: herr.msg})
-				return
-			}
-			emit(api.SweepPoint{Index: i, Record: &rec})
-		}(i, p)
-	}
-	wg.Wait()
+	// Each point streams as soon as its group's lane pass has landed and
+	// its run completes; failures travel on the point's line.
+	s.runGrid(ctx, points, func(i int) error {
+		rec, herr := s.submit(ctx, sreq.Points[i], true)
+		if herr != nil {
+			emit(api.SweepPoint{Index: i, Error: herr.msg})
+			return nil
+		}
+		emit(api.SweepPoint{Index: i, Record: &rec})
+		return nil
+	})
 }
 
 // handleGetRun is GET /v1/runs/{id}: a pure result-cache lookup. IDs are
@@ -280,60 +272,43 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 
 	suite := s.suiteFor(s.cfg.BaseOptions)
 	if len(fig.designs) > 0 {
-		// Lane phase: each benchmark's warm-up is paid once for every
-		// design of the figure through a shared stream before the grid
-		// fans out.
+		// Each benchmark's warm-up is paid once for every design of the
+		// figure by a shared lane pass; its points are submitted as soon as
+		// that pass lands.
 		points := make([]experiments.GridPoint, 0, len(fig.designs)*len(tlc.Benchmarks()))
 		for _, d := range fig.designs {
 			for _, b := range tlc.Benchmarks() {
 				points = append(points, experiments.GridPoint{Design: d, Bench: b, Opt: s.cfg.BaseOptions})
 			}
 		}
-		s.laneWarm(ctx, points)
-		var (
-			wg    sync.WaitGroup
-			mu    sync.Mutex
-			first *httpError
-		)
-		for _, d := range fig.designs {
-			for _, b := range tlc.Benchmarks() {
-				wg.Add(1)
-				go func(d tlc.Design, b string) {
-					defer wg.Done()
-					rec, herr := s.submitKeyed(ctx, d, b, s.cfg.BaseOptions, true)
-					if herr != nil {
-						mu.Lock()
-						if first == nil {
-							first = herr
-						}
-						mu.Unlock()
-						return
-					}
-					// Seed the rendering suite from the returned record: a
-					// grid point served from the result cache never touched
-					// this suite (it may be fresh, or rebuilt after LRU
-					// eviction), and render below must be a pure lookup —
-					// not a serial background-context re-simulation inside
-					// the HTTP handler that would bypass the worker pool
-					// and the request deadline.
-					if rec.Result != nil {
-						var sres *tlc.SampledResult
-						if suite.Sampled() {
-							sres = &tlc.SampledResult{
-								Result:        *rec.Result,
-								CyclesCI:      rec.CyclesCI,
-								MeanLookupCI:  rec.MeanLookupCI,
-								MissesPer1KCI: rec.MissesPer1KCI,
-							}
-						}
-						suite.Seed(d, b, *rec.Result, sres)
-					}
-				}(d, b)
+		err := s.runGrid(ctx, points, func(i int) error {
+			d, b := points[i].Design, points[i].Bench
+			rec, herr := s.submitKeyed(ctx, d, b, s.cfg.BaseOptions, true)
+			if herr != nil {
+				return herr
 			}
-		}
-		wg.Wait()
-		if first != nil {
-			writeError(w, first)
+			// Seed the rendering suite from the returned record: a grid
+			// point served from the result cache never touched this suite
+			// (it may be fresh, or rebuilt after LRU eviction), and render
+			// below must be a pure lookup — not a serial background-context
+			// re-simulation inside the HTTP handler that would bypass the
+			// worker pool and the request deadline.
+			if rec.Result != nil {
+				var sres *tlc.SampledResult
+				if suite.Sampled() {
+					sres = &tlc.SampledResult{
+						Result:        *rec.Result,
+						CyclesCI:      rec.CyclesCI,
+						MeanLookupCI:  rec.MeanLookupCI,
+						MissesPer1KCI: rec.MissesPer1KCI,
+					}
+				}
+				suite.Seed(d, b, *rec.Result, sres)
+			}
+			return nil
+		})
+		if err != nil {
+			writeError(w, err.(*httpError))
 			return
 		}
 	}

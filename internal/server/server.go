@@ -132,17 +132,9 @@ type Server struct {
 	nPeerFills    atomic.Uint64
 	nPeerMisses   atomic.Uint64
 
-	// Lane-parallel warm phase: sweep and figure grids are planned into
-	// shared-stream groups and warmed once per group before their points
-	// are submitted. laneMu serializes the passes (concurrent grids would
-	// mostly duplicate each other's warm work); the planner reuses its
-	// storage across plans.
-	laneMu      sync.Mutex
-	planner     *experiments.LanePlanner
-	nLaneGroups atomic.Uint64
-	nLaneWarmed atomic.Uint64
-	nLaneBatch  atomic.Uint64
-	nLaneScalar atomic.Uint64
+	// lanes collects the sim.lanes.* counters of the sweep and figure
+	// grids, which run through the experiments grid executor.
+	lanes experiments.LaneCounters
 	// wallEWMA is an exponentially weighted mean of executed-run wall time
 	// in milliseconds (float64 bits), feeding the Retry-After estimate.
 	wallEWMA atomic.Uint64
@@ -269,47 +261,22 @@ func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("server.profiles.fill_hits", func() uint64 { return pr.Stats().FillHits })
 	// The sim.lanes.* spine: how much grid warm-up the lane-parallel
 	// passes absorbed (/metricz exposes these next to the run counters).
-	s.reg.CounterFunc("sim.lanes.groups", s.nLaneGroups.Load)
-	s.reg.CounterFunc("sim.lanes.lanes_warmed", s.nLaneWarmed.Load)
-	s.reg.CounterFunc("sim.lanes.batches_shared", s.nLaneBatch.Load)
-	s.reg.CounterFunc("sim.lanes.scalar_points", s.nLaneScalar.Load)
+	s.reg.CounterFunc("sim.lanes.groups", s.lanes.Groups.Load)
+	s.reg.CounterFunc("sim.lanes.lanes_warmed", s.lanes.Lanes.Load)
+	s.reg.CounterFunc("sim.lanes.batches_shared", s.lanes.Batches.Load)
+	s.reg.CounterFunc("sim.lanes.scalar_points", s.lanes.Scalar.Load)
 }
 
-// laneWarm pre-pays a grid's warm-ups into the shared checkpoint store:
-// points are grouped by shared workload stream and each group warmed once
-// through a lane-parallel pass, so the submits that follow restore
-// checkpoints instead of re-warming per point. Purely an accelerator —
-// lane-warmed state is pinned bit-identical to scalar warm-up — so pass
-// errors (the request's deadline expiring mid-pass) just stop the phase;
-// the points themselves still run and surface their own errors.
-func (s *Server) laneWarm(ctx context.Context, points []experiments.GridPoint) {
+// runGrid executes a sweep or figure grid on Workers executor slots: lane
+// passes warm into the shared checkpoint store, bounded by ctx, and run —
+// which submits a point through the ordinary pipeline — gets each point as
+// soon as its pass lands.
+func (s *Server) runGrid(ctx context.Context, points []experiments.GridPoint, run func(i int) error) error {
 	for i := range points {
 		points[i].Opt.Checkpoints = s.cfg.Checkpoints
 		points[i].Opt.Cancel = ctx.Err
 	}
-	s.laneMu.Lock()
-	defer s.laneMu.Unlock()
-	if s.planner == nil {
-		s.planner = experiments.NewLanePlanner()
-	}
-	groups := s.planner.Plan(points)
-	s.nLaneScalar.Add(uint64(s.planner.ScalarPoints()))
-	for i := range groups {
-		g := &groups[i]
-		if len(g.Designs) < 2 {
-			continue
-		}
-		st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
-		if err != nil {
-			return
-		}
-		if st.Lanes == 0 {
-			continue
-		}
-		s.nLaneGroups.Add(1)
-		s.nLaneWarmed.Add(uint64(st.Lanes))
-		s.nLaneBatch.Add(st.Batches)
-	}
+	return experiments.Grid{Points: points, Run: run, Lanes: &s.lanes}.Execute(s.cfg.Workers)
 }
 
 // Metrics exposes the server's registry (tests and /metricz).

@@ -759,6 +759,69 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// TestSweepStreamsBeforeLaterPasses: a sweep's first line is written once
+// its own group's lane pass has landed, not after every group's pass. With
+// one worker the grid runs gcc's pass, then gcc's points; the second gcc
+// point blocks, so mcf's pass cannot have started when the first line
+// arrives.
+func TestSweepStreamsBeforeLaterPasses(t *testing.T) {
+	release := make(chan struct{})
+	var executions atomic.Uint64
+	s, hs := newTestServer(t, Config{
+		Workers: 1,
+		execute: func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
+			if executions.Add(1) > 1 {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			}
+			return stubRecord(d, bench), nil
+		},
+	})
+	opts := api.RunOptions{WarmInstructions: 10_000, RunInstructions: 5_000}
+	var sreq api.SweepRequest
+	for _, b := range []string{"gcc", "mcf"} {
+		for _, d := range []string{"SNUCA2", "TLC"} {
+			sreq.Points = append(sreq.Points, api.RunRequest{Design: d, Benchmark: b, Options: opts})
+		}
+	}
+	body, _ := json.Marshal(sreq)
+	resp, err := http.Post(hs.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var first api.SweepPoint
+	if err := dec.Decode(&first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Record == nil || first.Record.Benchmark != "gcc" {
+		t.Fatalf("first line %+v, want a gcc record", first)
+	}
+	if got := counter(t, s, "sim.lanes.groups"); got != 1 {
+		t.Fatalf("%d lane passes done at the first line, want 1", got)
+	}
+	close(release)
+	lines := 1
+	for {
+		var p api.SweepPoint
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		lines++
+	}
+	if lines != len(sreq.Points) {
+		t.Fatalf("%d lines, want %d", lines, len(sreq.Points))
+	}
+	if got := counter(t, s, "sim.lanes.groups"); got != 2 {
+		t.Errorf("%d lane passes after the sweep, want 2", got)
+	}
+}
+
 // TestPeerFillServesWithoutExecuting: with a PeerFill hook that has the
 // record, an admitted run is answered from the peer — zero local
 // executions, the record cached locally for the next hit — and when the

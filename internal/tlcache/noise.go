@@ -30,6 +30,11 @@ type Noise struct {
 
 // SetNoise enables noise injection on the cache's response paths.
 func (c *Cache) SetNoise(bitErrorRate float64) {
+	if c.noise == nil {
+		// Registered only with noise on, so noiseless runs keep their
+		// exact metric set.
+		c.reg.CounterFunc("ecc.retry_exhausted", func() uint64 { return c.ECCRetryExhausted })
+	}
 	n := &Noise{BitErrorRate: bitErrorRate}
 	bits := 64.0 + ecc.CheckBits
 	// Binomial word outcomes: exactly one flip, and two-or-more flips.

@@ -122,3 +122,27 @@ func TestWordFateDistributionMatchesBinomial(t *testing.T) {
 		t.Fatal("no double flips sampled at BER 1e-3")
 	}
 }
+
+// TestECCRetryBudget: near a rate of one every response fails its check,
+// and the retry chain used to run forever. It now ends after maxECCRetries
+// re-requests, counted in ecc.retry_exhausted.
+func TestECCRetryBudget(t *testing.T) {
+	c := New(config.TLC, testMemLat)
+	if _, ok := c.Metrics().Snapshot(0).Value("ecc.retry_exhausted"); ok {
+		t.Fatal("ecc.retry_exhausted registered without noise")
+	}
+	c.SetNoise(0.9)
+	c.SetNoise(0.9) // re-arming the noise must not re-register the counter
+	b := mem.Block(42)
+	c.Warm(b)
+	out := c.Access(1000, mem.Request{Block: b, Type: mem.Load})
+	if c.ECCRetryExhausted != 1 || c.ECCRetries != maxECCRetries {
+		t.Fatalf("%d exhausted, %d retries; want 1, %d", c.ECCRetryExhausted, c.ECCRetries, maxECCRetries)
+	}
+	if out.Predictable || out.ResolveAt-1000 <= c.Nominal(b) {
+		t.Fatalf("exhausted lookup resolved predictably at %d", out.ResolveAt)
+	}
+	if v, _ := c.Metrics().Snapshot(0).Value("ecc.retry_exhausted"); v != 1 {
+		t.Fatalf("ecc.retry_exhausted = %v, want 1", v)
+	}
+}

@@ -86,6 +86,9 @@ type Cache struct {
 	// ECCRetries counts responses with detected-uncorrectable errors,
 	// each costing a full extra round trip.
 	ECCRetries uint64
+	// ECCRetryExhausted counts lookups that used up maxECCRetries and
+	// took the last response as delivered.
+	ECCRetryExhausted uint64
 	// Writebacks counts victim blocks returned toward memory.
 	Writebacks uint64
 	// FillsApplied counts memory fills installed.
@@ -97,6 +100,12 @@ type Cache struct {
 
 // eccUncorrectable aliases the codec's verdict for the retry loop.
 const eccUncorrectable = ecc.Uncorrectable
+
+// maxECCRetries bounds the re-requests of one lookup. At the rates the
+// knob exists for the retry chain ends after one or two round trips; the
+// bound only matters as the rate nears one, where every response fails
+// and an unbounded chain would never end.
+const maxECCRetries = 64
 
 // Request/response flit counts are derived from the per-design link widths.
 const addrCmdBits = 22 // set index + 6-bit partial tag + command
@@ -315,11 +324,16 @@ func (c *Cache) Access(at sim.Time, req mem.Request) l2.Outcome {
 	if c.noise != nil && partialMatch {
 		// End-to-end ECC check on the data response. Corrections are
 		// free (inline in the controller); a detected-uncorrectable word
-		// forces a re-request, and the retry is checked again.
-		for {
+		// forces a re-request, and the retry is checked again, up to
+		// maxECCRetries times.
+		for tries := 0; ; tries++ {
 			fate, corrected := c.noise.responseFate(req.Block, resolve, c.loadRespBits()*c.p.BanksPerBlock)
 			c.ECCCorrections += uint64(corrected)
 			if fate != eccUncorrectable {
+				break
+			}
+			if tries == maxECCRetries {
+				c.ECCRetryExhausted++
 				break
 			}
 			c.ECCRetries++

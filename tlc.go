@@ -284,19 +284,22 @@ func (o Options) cmpConfig() CMPConfig {
 // singleCoreCMP is the CMP axis of every pre-CMP run.
 func singleCoreCMP() CMPConfig { return CMPConfig{Cores: 1} }
 
-// Validate checks the options for configurations a run would reject: the
-// CMP axis (a negative core count, more cores than the 64-wide directory
-// bitmap holds, an unknown sharing pattern) and impossible sampling-field
-// combinations. The run entry points validate internally; CLIs and the
-// service call this early so a bad flag or request fails with the same
-// one-line error before any simulation starts. Length-dependent sampling
-// checks (the detailed plan fitting RunInstructions) stay at run time in
-// sample.Options.Validate.
+// Validate checks the options for configurations a run would reject: a
+// zero timed length, a bit-error rate outside [0, 1), the CMP axis (a
+// negative core count, more cores than the 64-wide directory bitmap holds,
+// an unknown sharing pattern) and impossible sampling-field combinations.
+// The run entry points validate internally; CLIs and the service call this
+// early so a bad flag or request fails with the same one-line error before
+// any simulation starts. Length-dependent sampling checks (the detailed
+// plan fitting RunInstructions) stay at run time in sample.Options.Validate.
 func (o Options) Validate() error {
 	if err := o.validateCMP(); err != nil {
 		return err
 	}
 	if err := o.validateFidelity(); err != nil {
+		return err
+	}
+	if err := o.validateRanges(); err != nil {
 		return err
 	}
 	if o.phaseMode() {
@@ -316,6 +319,20 @@ func (o Options) Validate() error {
 			return fmt.Errorf("sample: PhaseClusters=%d exceeds PhaseWindows=%d; cannot have more clusters than windows",
 				o.PhaseClusters, o.PhaseWindows)
 		}
+	}
+	return nil
+}
+
+// validateRanges rejects scalar inputs outside their domains: a run with
+// no timed instructions would return an all-zero Result, and a bit-error
+// rate must be a probability below one (NaN compares false everywhere, so
+// it is tested explicitly).
+func (o Options) validateRanges() error {
+	if o.RunInstructions == 0 {
+		return fmt.Errorf("tlc: RunInstructions is 0; a run needs at least 1 timed instruction")
+	}
+	if r := o.BitErrorRate; math.IsNaN(r) || r < 0 || r >= 1 {
+		return fmt.Errorf("tlc: BitErrorRate %v outside [0, 1)", r)
 	}
 	return nil
 }
@@ -843,6 +860,9 @@ func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
 	if err := opt.validateFidelity(); err != nil {
 		return Result{}, err
 	}
+	if err := opt.validateRanges(); err != nil {
+		return Result{}, err
+	}
 	if opt.sampledMode() {
 		sres, err := RunSpecSampled(d, spec, opt)
 		return sres.Result, err
@@ -961,6 +981,9 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 		return SampledResult{}, err
 	}
 	if err := opt.validateFidelity(); err != nil {
+		return SampledResult{}, err
+	}
+	if err := opt.validateRanges(); err != nil {
 		return SampledResult{}, err
 	}
 	if sopt.Phase() {

@@ -1,6 +1,8 @@
 package tlc
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -217,6 +219,42 @@ func TestBitErrorRateOption(t *testing.T) {
 	// Functional behaviour is preserved: ECC repairs or retries.
 	if res.MissesPer1K != clean.MissesPer1K {
 		t.Fatal("noise must not change hit/miss outcomes")
+	}
+}
+
+// TestValidateRejectsBitErrorRateOutOfRange: a bit-error rate is a
+// probability below one. Rates at or above one used to pass validation and
+// spin the ECC retry loop; negative and NaN rates were silently accepted.
+func TestValidateRejectsBitErrorRateOutOfRange(t *testing.T) {
+	for _, ber := range []float64{2, 1, -1, math.NaN(), math.Inf(1)} {
+		opt := testOptions()
+		opt.BitErrorRate = ber
+		if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), "BitErrorRate") {
+			t.Errorf("BitErrorRate %v: Validate = %v, want a BitErrorRate error", ber, err)
+		}
+		if _, err := Run(DesignTLC, "gcc", opt); err == nil {
+			t.Errorf("BitErrorRate %v: Run accepted it", ber)
+		}
+	}
+	for _, ber := range []float64{0, 1e-9, 0.5} {
+		opt := testOptions()
+		opt.BitErrorRate = ber
+		if err := opt.Validate(); err != nil {
+			t.Errorf("BitErrorRate %v: Validate = %v, want nil", ber, err)
+		}
+	}
+}
+
+// TestValidateRejectsZeroRunInstructions: a run with no timed instructions
+// used to return an all-zero Result and no error.
+func TestValidateRejectsZeroRunInstructions(t *testing.T) {
+	opt := testOptions()
+	opt.RunInstructions = 0
+	if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), "RunInstructions") {
+		t.Errorf("Validate = %v, want a RunInstructions error", err)
+	}
+	if res, err := Run(DesignTLC, "gcc", opt); err == nil {
+		t.Errorf("Run returned %+v and no error", res)
 	}
 }
 

@@ -322,6 +322,59 @@ func BenchmarkWarmThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkTimedThroughput is the timed-path counterpart of
+// BenchmarkWarmThroughput: machines restored from one checkpoint run the
+// bench-scale timed interval through the fused NextBatch kernel and, on a
+// twin restored from the same checkpoint, through the scalar Next reference
+// (scalarStream hides the batched protocol). One design per L2
+// implementation (nuca SNUCA, nuca DNUCA, tlcache) times three workload
+// shapes: gcc's skewed hot set, swim's streams, and oltp's sliding cold
+// window. It doubles as a determinism smoke check: the two arms must finish
+// on the same cycle and the same stream position, so CI's -benchtime 1x run
+// fails loudly on any batched/scalar drift.
+func BenchmarkTimedThroughput(b *testing.B) {
+	for _, d := range []Design{DesignSNUCA2, DesignDNUCA, DesignTLC} {
+		for _, name := range []string{"gcc", "swim", "oltp"} {
+			b.Run(d.String()+"/"+name, func(b *testing.B) {
+				spec, _ := workload.SpecByName(name)
+				opt := benchOptions()
+				opt.Checkpoints = NewCheckpointStore(0, "")
+				// The first prepare warms and fills the store; every
+				// machine after it restores.
+				if _, _, _, err := prepare(d, spec, opt); err != nil {
+					b.Fatal(err)
+				}
+				n := opt.RunInstructions
+				var batchedNS, scalarNS time.Duration
+				for i := 0; i < b.N; i++ {
+					_, fastCore, fastGen, err := prepare(d, spec, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					_, scalarCore, scalarGen, err := prepare(d, spec, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					t0 := time.Now()
+					fast := fastCore.Run(fastGen, n)
+					t1 := time.Now()
+					scalar := scalarCore.Run(scalarStream{scalarGen}, n)
+					batchedNS += t1.Sub(t0)
+					scalarNS += time.Since(t1)
+					if fast != scalar {
+						b.Fatalf("batched and scalar timed runs diverged: %+v != %+v", fast, scalar)
+					}
+					if fastGen.State() != scalarGen.State() {
+						b.Fatal("batched and scalar timed runs diverged: generator state mismatch")
+					}
+				}
+				b.ReportMetric(float64(b.N)*float64(n)/1e6/batchedNS.Seconds(), "batched_Minstr_per_s")
+				b.ReportMetric(float64(b.N)*float64(n)/1e6/scalarNS.Seconds(), "scalar_Minstr_per_s")
+			})
+		}
+	}
+}
+
 // BenchmarkLaneSweep is the lane-parallel acceptance gate: warming every
 // design of the grid off one shared stream (the SoA lane engine) against
 // warming each design off its own stream (the batched fast path, the best

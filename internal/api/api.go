@@ -6,10 +6,35 @@
 package api
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 
 	"tlc"
 )
+
+// MaxRequestBytes bounds the JSON body of every POST tlcd and the fleet
+// coordinator accept. The largest legitimate body is a sweep: a few hundred
+// bytes per point, so the bound admits sweeps of tens of thousands of points
+// while keeping an oversized or endless body from being read into memory.
+const MaxRequestBytes = 8 << 20
+
+// DecodeRequest decodes a request's JSON body into v, reading at most
+// MaxRequestBytes. On failure it also returns the status to answer with:
+// 413 when the body exceeds the bound, 400 when it is malformed.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
 
 // RunOptions is the serializable subset of tlc.Options a request may set.
 // Zero-valued WarmInstructions, RunInstructions, and Seed take the

@@ -532,6 +532,11 @@ func (c *Core) Resume(s Stream, n uint64) Result { return c.run(s, n) }
 // arrive through the batched protocol: native BatchStreams fill the core's
 // reusable buffer directly; legacy Streams go through the core's resident
 // shim, so neither path allocates per call.
+//
+// The ring slots and the fetch cycle are wrapping counters rather than
+// divisions of the instruction index: they are seeded once per call from
+// epochInstrs (so Resume continues them) and stepped per instruction, which
+// holds for any ROB, scheduler, and fetch-width size.
 func (c *Core) run(s Stream, n uint64) Result {
 	if c.fast {
 		return c.runFast(s, n)
@@ -539,10 +544,17 @@ func (c *Core) run(s Stream, n uint64) Result {
 	c.res = Result{Instructions: n}
 	rob := uint64(c.sys.ROBEntries)
 	sched := uint64(c.sys.SchedulerEntries)
-	width := sim.Time(c.sys.FetchWidth)
+	width := uint64(c.sys.FetchWidth)
 	base := c.epochBase
-	start := c.epochInstrs
+	i := c.epochInstrs
 	last := c.lastRetire
+	// ri = i%rob, si = i%sched, pi = (i-1) mod rob (the previous
+	// instruction's retire slot), wi = (i-width) mod rob, and fq, fr the
+	// quotient and remainder of i/width.
+	ri, si := i%rob, i%sched
+	pi := (ri + rob - 1) % rob
+	wi := (ri + rob - width%rob) % rob
+	fq, fr := i/width, i%width
 	bs, native := s.(BatchStream)
 	if !native {
 		c.shim.Stream = s
@@ -564,52 +576,67 @@ func (c *Core) run(s Stream, n uint64) Result {
 			panic("cpu: batch stream made no progress")
 		}
 		for _, in := range c.batch[:got] {
-			i := start + j
 			// Fetch bandwidth: FetchWidth instructions per cycle, pushed
 			// back by accumulated misprediction refills.
-			issue := base + sim.Time(i)/width + c.fetchPenalty
+			issue := base + sim.Time(fq) + c.fetchPenalty
 			// ROB availability: instruction i needs instruction i-ROB
 			// retired.
 			if i >= rob {
-				if t := c.retire[i%rob]; t > issue {
+				if t := c.retire[ri]; t > issue {
 					issue = t
 					c.cum.robStalls++
 				}
 			}
 			// Scheduler availability: instruction i-sched must have issued.
 			if i >= sched {
-				if t := c.issued[i%sched]; t > issue {
+				if t := c.issued[si]; t > issue {
 					issue = t
 					c.cum.schedStalls++
 				}
 			}
 			issueAt, complete := c.execute(issue, in)
-			c.issued[i%sched] = issueAt
+			c.issued[si] = issueAt
 			if in.Mispredict {
 				c.fetchPenalty += sim.Time(c.sys.PipelineStages)
 				c.cum.mispredicts++
 			}
 			c.prevComplete = complete
 			// In-order retirement at fetch width.
-			slot := c.retire[(i+rob-1)%rob] // previous instruction's retire
+			slot := c.retire[pi] // previous instruction's retire
 			if i == 0 {
 				slot = base
 			}
 			if complete > slot {
 				slot = complete
 			}
-			if i >= uint64(width) {
-				if t := c.retire[(i-uint64(width))%rob] + 1; t > slot {
+			if i >= width {
+				if t := c.retire[wi] + 1; t > slot {
 					slot = t
 				}
 			}
-			c.retire[i%rob] = slot
+			c.retire[ri] = slot
 			last = slot
-			j++
+
+			i++
+			pi = ri
+			if ri++; ri == rob {
+				ri = 0
+			}
+			if si++; si == sched {
+				si = 0
+			}
+			if wi++; wi == rob {
+				wi = 0
+			}
+			if fr++; fr == width {
+				fr = 0
+				fq++
+			}
 		}
+		j += uint64(got)
 	}
 	c.shim.Stream = nil
-	c.epochInstrs = start + n
+	c.epochInstrs += n
 	c.lastRetire = last
 	c.res.Cycles = last
 	return c.res

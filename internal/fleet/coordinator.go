@@ -422,8 +422,8 @@ func writeCoordError(w http.ResponseWriter, e *coordError) {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeCoordError(w, &coordError{status: 400, msg: "decoding registration: " + err.Error()})
+	if status, err := api.DecodeRequest(w, r, &req); err != nil {
+		writeCoordError(w, &coordError{status: status, msg: "decoding registration: " + err.Error()})
 		return
 	}
 	if req.BaseURL == "" {
@@ -450,8 +450,8 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeCoordError(w, &coordError{status: 400, msg: "decoding request: " + err.Error()})
+	if status, err := api.DecodeRequest(w, r, &req); err != nil {
+		writeCoordError(w, &coordError{status: status, msg: "decoding request: " + err.Error()})
 		return
 	}
 	rec, cerr := c.route(r.Context(), req, r.URL.Query().Get("block") == "1")
@@ -489,8 +489,8 @@ func (c *Coordinator) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // 429-bouncing its own sweep.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sreq api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&sreq); err != nil {
-		writeCoordError(w, &coordError{status: 400, msg: "decoding sweep: " + err.Error()})
+	if status, err := api.DecodeRequest(w, r, &sreq); err != nil {
+		writeCoordError(w, &coordError{status: status, msg: "decoding sweep: " + err.Error()})
 		return
 	}
 	if err := sreq.Validate(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -339,6 +340,27 @@ func TestRegisterValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("register %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+}
+
+// TestOversizedBodyIs413: each of the coordinator's JSON POST endpoints
+// refuses a body past api.MaxRequestBytes with 413.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, hs := newTestCoordinator(t, Config{})
+	pad := strings.Repeat("x", api.MaxRequestBytes)
+	for path, body := range map[string]string{
+		"/v1/workers": `{"base_url":"http://` + pad + `"}`,
+		"/v1/runs":    `{"design":"TLC","benchmark":"gcc","pad":"` + pad + `"}`,
+		"/v1/sweeps":  `{"points":[{"design":"TLC","benchmark":"gcc"}],"pad":"` + pad + `"}`,
+	} {
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, resp.StatusCode)
 		}
 	}
 }

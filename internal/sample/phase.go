@@ -156,11 +156,16 @@ const kmeansIters = 64
 // feats holds one row per window (equal lengths, CPI proxy last); instr
 // the per-window instruction counts (summing to total). opt must have
 // passed Validate. The result is bit-deterministic in (key, inputs).
-func BuildProfile(key string, total uint64, opt Options, feats [][]float64, instr []uint64) Profile {
+// cancel, when non-nil, is polled once per k-means seeding step and once
+// per Lloyd iteration; its first error aborts clustering and is returned.
+func BuildProfile(key string, total uint64, opt Options, feats [][]float64, instr []uint64, cancel func() error) (Profile, error) {
 	w := opt.PhaseWindows
 	k := opt.PhaseClusters
 	norm := normalize(feats)
-	assign := kmeans(norm, k, newPhaseRNG(key))
+	assign, err := kmeans(norm, k, newPhaseRNG(key), cancel)
+	if err != nil {
+		return Profile{}, err
+	}
 
 	// Compact away empty clusters and pick each survivor's representative:
 	// the member window closest to the cluster's feature mean (lowest
@@ -222,7 +227,7 @@ func BuildProfile(key string, total uint64, opt Options, feats [][]float64, inst
 		Assign:   assign,
 		Reps:     reps,
 		Weights:  weights,
-	}
+	}, nil
 }
 
 // normalize z-scores each feature column (population moments); a constant
@@ -258,29 +263,42 @@ func normalize(feats [][]float64) [][]float64 {
 
 // kmeans runs k-means++ seeding plus bounded Lloyd iterations. Every
 // data-dependent choice is deterministic: the rng is the caller's seeded
-// stream and ties break toward the lowest index.
-func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
+// stream and ties break toward the lowest index. cancel (may be nil) is
+// polled before every seeding step and every Lloyd iteration, so a large
+// k·n stops within one O(n) step or one O(k·n) iteration of being asked.
+func kmeans(points [][]float64, k int, rng *phaseRNG, cancel func() error) ([]int, error) {
 	n := len(points)
 	cols := len(points[0])
 	centroids := make([][]float64, 0, k)
+	cancelled := func() error {
+		if cancel == nil {
+			return nil
+		}
+		return cancel()
+	}
 
 	// k-means++ seeding: first centroid uniform, later ones with
 	// probability proportional to squared distance from the nearest
-	// chosen centroid.
+	// chosen centroid. d2 holds each point's nearest-centroid distance and
+	// folds in only the newest centroid per step: a running minimum is
+	// exact, so this equals the full rescan over all centroids.
 	first := rng.intn(n)
 	centroids = append(centroids, append([]float64(nil), points[first]...))
 	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		if err := cancelled(); err != nil {
+			return nil, err
+		}
+		newest := centroids[len(centroids)-1]
 		var totalD float64
 		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := sqDist(p, c); d < best {
-					best = d
-				}
+			if d := sqDist(p, newest); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
-			totalD += best
+			totalD += d2[i]
 		}
 		pick := -1
 		if totalD > 0 {
@@ -317,6 +335,9 @@ func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
 		sums[c] = make([]float64, cols)
 	}
 	for iter := 0; iter < kmeansIters; iter++ {
+		if err := cancelled(); err != nil {
+			return nil, err
+		}
 		changed := false
 		for i, p := range points {
 			best, bestD := 0, math.Inf(1)
@@ -355,7 +376,7 @@ func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
 			}
 		}
 	}
-	return assign
+	return assign, nil
 }
 
 func sqDist(a, b []float64) float64 {

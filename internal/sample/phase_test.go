@@ -1,10 +1,12 @@
 package sample
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"tlc/internal/cpu"
 	"tlc/internal/sim"
@@ -96,11 +98,53 @@ func phaseFixture(windows int) ([][]float64, []uint64, uint64) {
 	return feats, instr, total
 }
 
+// buildProfile is BuildProfile without cancellation, failing the test on
+// an error.
+func buildProfile(t *testing.T, key string, total uint64, opt Options, feats [][]float64, instr []uint64) Profile {
+	t.Helper()
+	p, err := BuildProfile(key, total, opt, feats, instr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBuildProfileHonoursCancel: clustering 20 000 windows into 20 000
+// clusters — an input validation accepts — stops at the cancel hook's first
+// error, whether the hook fails at once or part-way through seeding.
+func TestBuildProfileHonoursCancel(t *testing.T) {
+	const n = 20_000
+	feats := make([][]float64, n)
+	instr := make([]uint64, n)
+	for i := range feats {
+		feats[i] = []float64{float64(i % 97), float64(i % 89), float64(i)}
+		instr[i] = 1
+	}
+	opt := Options{PhaseWindows: n, PhaseClusters: n}
+	stop := errors.New("stop")
+	for _, after := range []int{0, 500} {
+		polls := 0
+		cancel := func() error {
+			if polls++; polls > after {
+				return stop
+			}
+			return nil
+		}
+		start := time.Now()
+		if _, err := BuildProfile("k", n, opt, feats, instr, cancel); !errors.Is(err, stop) {
+			t.Fatalf("cancel after %d polls: err %v, want the hook's error", after, err)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("cancel after %d polls took %v", after, d)
+		}
+	}
+}
+
 func TestBuildProfileDeterministicAndValid(t *testing.T) {
 	feats, instr, total := phaseFixture(40)
 	opt := Options{PhaseWindows: 40, PhaseClusters: 14}
-	a := BuildProfile("content-key", total, opt, feats, instr)
-	b := BuildProfile("content-key", total, opt, feats, instr)
+	a := buildProfile(t, "content-key", total, opt, feats, instr)
+	b := buildProfile(t, "content-key", total, opt, feats, instr)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("BuildProfile is not deterministic for a fixed key")
 	}
@@ -129,7 +173,7 @@ func TestBuildProfileDeterministicAndValid(t *testing.T) {
 func TestProfileCheckRejects(t *testing.T) {
 	feats, instr, total := phaseFixture(40)
 	opt := Options{PhaseWindows: 40, PhaseClusters: 14}
-	good := BuildProfile("k", total, opt, feats, instr)
+	good := buildProfile(t, "k", total, opt, feats, instr)
 
 	mutate := func(f func(*Profile)) Profile {
 		p := good
@@ -185,7 +229,7 @@ func (f *scriptedTarget) Interval(i int, n uint64) cpu.Result {
 func TestRunPhasedTimesRepresentativesOnly(t *testing.T) {
 	feats, instr, total := phaseFixture(12)
 	opt := Options{PhaseWindows: 12, PhaseClusters: 4}
-	p := BuildProfile("k", total, opt, feats, instr)
+	p := buildProfile(t, "k", total, opt, feats, instr)
 
 	ft := &scriptedTarget{}
 	for w := 0; w < 12; w++ {

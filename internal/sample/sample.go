@@ -71,8 +71,29 @@ func (o Options) Validate(total uint64) error {
 	return nil
 }
 
-// validatePhase checks the phase-mode field combination.
+// validatePhase checks the phase-mode fields against a run of total
+// instructions.
 func (o Options) validatePhase(total uint64) error {
+	if err := o.ValidatePhaseFields(); err != nil {
+		return err
+	}
+	if uint64(o.PhaseWindows) > total {
+		return fmt.Errorf("sample: PhaseWindows=%d exceeds the %d-instruction run; need at least one instruction per window",
+			o.PhaseWindows, total)
+	}
+	// Length is a uniform-mode knob: phase mode times whole windows, so the
+	// interval length is total/PhaseWindows by construction.
+	return nil
+}
+
+// ValidatePhaseFields checks the phase-mode field combination, the part of
+// validation that needs no run length; it is nil outside phase mode. It is
+// the one copy of these checks: tlc.Options.Validate calls it before any
+// simulation starts.
+func (o Options) ValidatePhaseFields() error {
+	if !o.Phase() {
+		return nil
+	}
 	if o.Intervals > 0 {
 		return fmt.Errorf("sample: Intervals=%d combined with PhaseWindows=%d/PhaseClusters=%d; uniform and phase sampling are mutually exclusive",
 			o.Intervals, o.PhaseWindows, o.PhaseClusters)
@@ -89,12 +110,6 @@ func (o Options) validatePhase(total uint64) error {
 		return fmt.Errorf("sample: PhaseClusters=%d exceeds PhaseWindows=%d; cannot have more clusters than windows",
 			o.PhaseClusters, o.PhaseWindows)
 	}
-	if uint64(o.PhaseWindows) > total {
-		return fmt.Errorf("sample: PhaseWindows=%d exceeds the %d-instruction run; need at least one instruction per window",
-			o.PhaseWindows, total)
-	}
-	// Length is a uniform-mode knob: phase mode times whole windows, so the
-	// interval length is total/PhaseWindows by construction.
 	return nil
 }
 

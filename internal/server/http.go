@@ -84,8 +84,8 @@ func writeError(w http.ResponseWriter, e *httpError) {
 // single server's own figure/sweep handlers enqueue internally.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &httpError{status: 400, msg: "decoding request: " + err.Error()})
+	if status, err := api.DecodeRequest(w, r, &req); err != nil {
+		writeError(w, &httpError{status: status, msg: "decoding request: " + err.Error()})
 		return
 	}
 	timeout, err := s.requestTimeout(r)
@@ -114,8 +114,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // the stream itself stays 200 once opened.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sreq api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&sreq); err != nil {
-		writeError(w, &httpError{status: 400, msg: "decoding sweep: " + err.Error()})
+	if status, err := api.DecodeRequest(w, r, &sreq); err != nil {
+		writeError(w, &httpError{status: status, msg: "decoding sweep: " + err.Error()})
 		return
 	}
 	if err := sreq.Validate(); err != nil {

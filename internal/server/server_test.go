@@ -371,6 +371,31 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a body past api.MaxRequestBytes is refused with
+// 413 on both POST endpoints.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, hs := newTestServer(t, Config{
+		Workers: 1,
+		execute: func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
+			return stubRecord(d, bench), nil
+		},
+	})
+	pad := strings.Repeat("x", api.MaxRequestBytes)
+	for path, body := range map[string]string{
+		"/v1/runs":   `{"design":"TLC","benchmark":"gcc","pad":"` + pad + `"}`,
+		"/v1/sweeps": `{"points":[{"design":"TLC","benchmark":"gcc"}],"pad":"` + pad + `"}`,
+	} {
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
 // TestDrain: draining answers 503 on healthz and new runs, completes queued
 // work, and Drain returns cleanly.
 func TestDrain(t *testing.T) {

@@ -6,18 +6,42 @@ import (
 	"tlc/internal/cpu"
 )
 
-// batchSpecs picks three structurally different benchmarks: a small-footprint
-// SPECint (hit-dominated), a streaming SPECfp (stream/recent paths), and a
-// commercial workload (sliding cold window) — together they cover every
-// branch of nextBlock.
-func batchSpecs(t *testing.T) []Spec {
-	t.Helper()
-	var out []Spec
-	for _, name := range []string{"gcc", "swim", "oltp"} {
-		s, ok := SpecByName(name)
-		if !ok {
-			t.Fatalf("unknown benchmark %q", name)
-		}
+// kernelSpecs is the oracle set for the fused kernel: the twelve benchmarks
+// plus synthetic specs that reach every branch the benchmarks leave out —
+// hot skew 0, 1 and 2 (and a hot region too small to narrow), cold skew 1
+// and 2 without a window, a window smaller than and larger than the cold
+// region, mispredict periods that are the default, odd, even, a power of
+// two and 1, the default and an explicit serial fraction, store and
+// dependence fractions of 0 and 1, all-memory and memory-free streams. The
+// synthetic cold region (~12 K blocks) is smaller than the recent-reuse
+// reach, so the recent-delta clamp and the stream and window wraps fire.
+func kernelSpecs() []Spec {
+	base := Spec{FootprintMB: 1, L1MB: 0.03, L1Frac: 0.3, HotMB: 0.25, HotFrac: 0.3,
+		StreamFrac: 0.15, StreamRepeat: 1, RecentFrac: 0.1, StoreFrac: 0.3,
+		MemFrac: 0.4, DepFrac: 0.5}
+	variants := []struct {
+		name string
+		edit func(*Spec)
+	}{
+		{"uniform", func(s *Spec) {}},
+		{"hotskew1-every7", func(s *Spec) { s.HotSkew, s.MispredictEvery, s.SerialFrac = 1, 7, 0.9 }},
+		{"hotskew2-every12", func(s *Spec) { s.HotSkew, s.MispredictEvery = 2, 12 }},
+		{"tinyhot-skew1-every16", func(s *Spec) { s.HotMB, s.HotSkew, s.MispredictEvery = 0.0002, 1, 16 }},
+		{"coldskew1", func(s *Spec) { s.ColdSkew = 1 }},
+		{"coldskew2", func(s *Spec) { s.ColdSkew, s.MispredictEvery = 2, 1 }},
+		{"window", func(s *Spec) { s.ColdWindowMB, s.ColdTurnover = 0.25, 0.5 }},
+		{"window-oversize", func(s *Spec) { s.ColdWindowMB, s.ColdTurnover, s.ColdSkew = 8, 0.9, 1 }},
+		{"stores1-dep1", func(s *Spec) { s.StoreFrac, s.DepFrac = 1, 1 }},
+		{"stores0-dep0", func(s *Spec) { s.StoreFrac, s.DepFrac = 0, 0 }},
+		{"stores0-dep1", func(s *Spec) { s.StoreFrac, s.DepFrac = 0, 1 }},
+		{"allmem", func(s *Spec) { s.MemFrac = 1 }},
+		{"nomem", func(s *Spec) { s.MemFrac = 0 }},
+	}
+	out := Specs()
+	for _, v := range variants {
+		s := base
+		s.Name = "synthetic-" + v.name
+		v.edit(&s)
 		out = append(out, s)
 	}
 	return out
@@ -28,7 +52,7 @@ func batchSpecs(t *testing.T) []Spec {
 // observation counters — including when batch sizes vary and when scalar and
 // batched delivery interleave mid-stream.
 func TestNextBatchMatchesNext(t *testing.T) {
-	for _, spec := range batchSpecs(t) {
+	for _, spec := range kernelSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
 			scalar := New(spec, 7)
 			batched := New(spec, 7)
@@ -73,7 +97,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 // identically (post-call State equality proves it), and the observation
 // counters agree.
 func TestNextMemsMatchesNext(t *testing.T) {
-	for _, spec := range batchSpecs(t) {
+	for _, spec := range kernelSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
 			scalar := New(spec, 11)
 			fast := New(spec, 11)
@@ -119,6 +143,62 @@ func TestNextMemsMatchesNext(t *testing.T) {
 			for i := 0; i < 10_000; i++ {
 				if got, want := fast.Next(), scalar.Next(); got != want {
 					t.Fatalf("post-warm instr %d: %+v != %+v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestMixedDeliveryMatchesNext drives one generator through all three
+// delivery protocols in rotation — Next, NextBatch, NextMems, with odd and
+// varying sizes — against a scalar twin, comparing the delivered stream,
+// State() and the observation counters after every call: the fused kernel's
+// two modes and the scalar reference hand the stream position to each other
+// exactly.
+func TestMixedDeliveryMatchesNext(t *testing.T) {
+	for _, spec := range kernelSpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			scalar, mixed := New(spec, 5), New(spec, 5)
+			ins := make([]cpu.Instr, 777)
+			mems := make([]cpu.MemRef, 131)
+			for round := 0; round < 90; round++ {
+				switch round % 3 {
+				case 0:
+					for i := 0; i < 1+round; i++ {
+						if got, want := mixed.Next(), scalar.Next(); got != want {
+							t.Fatalf("round %d Next %d: %+v != %+v", round, i, got, want)
+						}
+					}
+				case 1:
+					n := 1 + (round*53)%len(ins)
+					mixed.NextBatch(ins[:n])
+					for i := 0; i < n; i++ {
+						if want := scalar.Next(); ins[i] != want {
+							t.Fatalf("round %d NextBatch %d: %+v != %+v", round, i, ins[i], want)
+						}
+					}
+				case 2:
+					n, consumed := mixed.NextMems(mems, uint64(1+round*41))
+					got := 0
+					for i := uint64(0); i < consumed; i++ {
+						in := scalar.Next()
+						if !in.IsMem {
+							continue
+						}
+						if got >= n || mems[got] != (cpu.MemRef{Block: in.Block, Store: in.IsStore}) {
+							t.Fatalf("round %d NextMems: mem op %d diverged", round, got)
+						}
+						got++
+					}
+					if got != n {
+						t.Fatalf("round %d NextMems reported %d mem ops, scalar span has %d", round, n, got)
+					}
+				}
+				if scalar.State() != mixed.State() {
+					t.Fatalf("round %d: state diverged: scalar %+v mixed %+v", round, scalar.State(), mixed.State())
+				}
+				if scalar.counters != mixed.counters {
+					t.Fatalf("round %d: counters diverged: scalar %+v mixed %+v", round, scalar.counters, mixed.counters)
 				}
 			}
 		})

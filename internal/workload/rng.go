@@ -42,10 +42,10 @@ func (p *prng) setState(s [4]uint64) { p.s = s }
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // xoDraw is one xoshiro256** step on register-resident state: it returns
-// the drawn value and the successor state. The fused NextMems kernel carries
-// the whole stream position through locals, so after inlining each draw is
-// pure ALU work — no loads or stores of the generator's state. The value and
-// transition are bit-identical to Uint64.
+// the drawn value and the successor state. The fused generator kernel
+// (fill) carries the whole stream position through locals, so after
+// inlining each draw is pure ALU work — no loads or stores of the
+// generator's state. The value and transition are bit-identical to Uint64.
 func xoDraw(s0, s1, s2, s3 uint64) (v, r0, r1, r2, r3 uint64) {
 	v = rotl(s1*5, 7) * 9
 	t := s1 << 17

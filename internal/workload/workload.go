@@ -268,61 +268,46 @@ func (g *Generator) Next() cpu.Instr {
 }
 
 // NextBatch implements cpu.BatchStream: it fills buf with the identical
-// instruction sequence len(buf) Next calls would produce, in one pass with
-// the per-spec constants hoisted out of the loop. The batched and scalar
-// paths draw from the RNG in exactly the same order, so they are
-// interchangeable mid-stream (TestNextBatchMatchesNext pins this).
+// instruction sequence len(buf) Next calls would produce, through the fused
+// kernel in full mode. The batched and scalar paths draw from the RNG in
+// exactly the same order, so they are interchangeable mid-stream
+// (TestNextBatchMatchesNext pins this).
 func (g *Generator) NextBatch(buf []cpu.Instr) int {
-	serial := g.spec.SerialFrac
-	if serial == 0 {
-		serial = 0.35
+	if len(buf) == 0 {
+		return 0
 	}
-	every := g.spec.MispredictEvery
-	if every == 0 {
-		every = 250
-	}
-	frac := g.spec.MemFrac
-	for i := range buf {
-		g.memCredit += frac
-		if g.memCredit < 1 {
-			in := cpu.Instr{}
-			if g.rng.Float64() < serial {
-				in.Dep = true
-			}
-			if g.rng.Intn(every) == 0 {
-				in.Mispredict = true
-				g.counters.mispredicts++
-			}
-			buf[i] = in
-			continue
-		}
-		g.memCredit--
-		blk := g.nextBlock()
-		isStore := g.rng.Float64() < g.spec.StoreFrac
-		dep := !isStore && g.rng.Float64() < g.spec.DepFrac
-		g.counters.memOps++
-		if isStore {
-			g.counters.stores++
-		}
-		buf[i] = cpu.Instr{IsMem: true, IsStore: isStore, Block: blk, Dep: dep}
-	}
+	g.fill(buf, nil, uint64(len(buf)))
 	return len(buf)
 }
 
 // NextMems implements cpu.MemStream, the functional-warm fast path: it
 // consumes up to maxInstr instructions, materializing only the memory
-// operations into buf and skipping the non-memory runs in between. It is a
-// fully fused kernel — the RNG words, phase variables, and credit ride in
-// locals for the whole loop, probability compares run in the integer draw
-// domain (f64Threshold), and the region draws use the precomputed
-// reciprocals — but every draw and branch replays Next's sequence exactly,
-// so the generator's stream position, every instruction any later Next or
-// NextBatch call produces, and the observation counters stay bit-identical
-// to the scalar path (TestNextMemsMatchesNext pins this).
+// operations into buf and skipping the non-memory runs in between — the
+// fused kernel in memory-only mode. The generator's stream position, every
+// instruction any later Next or NextBatch call produces, and the observation
+// counters stay bit-identical to the scalar path (TestNextMemsMatchesNext
+// pins this).
 func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {
 	if len(buf) == 0 {
 		return 0, 0
 	}
+	return g.fill(nil, buf, maxInstr)
+}
+
+// fill is the fused generator kernel behind both batched protocols. It
+// replays Next's draw and branch sequence exactly, but the RNG words, phase
+// variables, and credit ride in locals for the whole loop, probability
+// compares run in the integer draw domain (f64Threshold), and the region
+// draws use the precomputed reciprocals.
+//
+// With ins non-nil (full mode) it writes all maxInstr instructions to
+// ins[:maxInstr], drawing the serial-dep and load-dep values. With ins nil
+// (memory-only mode) it writes only memory operations to mems, stops early
+// when mems fills, and advances the RNG past the draws whose values a warm
+// stream never observes. It returns the MemRefs written and the
+// instructions consumed.
+func (g *Generator) fill(ins []cpu.Instr, mems []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {
+	full := ins != nil
 	every := uint64(g.spec.MispredictEvery)
 	if every == 0 {
 		every = 250
@@ -334,8 +319,8 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 	// while any remainder either leaves low bits for the rotation to hoist
 	// into the high end or overflows the quotient bound. The inverse
 	// converges in five Newton steps. One setup per call, amortized over
-	// the batch, replaces a 64-bit division per skipped instruction with a
-	// multiply, a rotate, and one compare whose branch is taken once every
+	// the batch, replaces a 64-bit division per non-memory instruction with
+	// a multiply, a rotate, and one compare whose branch is taken once every
 	// `every` instructions — crucially, no 50/50 branch on a random low
 	// bit, which a two-part test would hand the branch predictor.
 	k := bits.TrailingZeros64(every)
@@ -357,6 +342,11 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 	storeT := f64Threshold(g.spec.StoreFrac)
 	turnoverT := f64Threshold(g.spec.ColdTurnover)
 	skewT := f64Threshold(0.8)
+	serial := g.spec.SerialFrac
+	if serial == 0 {
+		serial = 0.35
+	}
+	serialT, depT := f64Threshold(serial), f64Threshold(g.spec.DepFrac)
 
 	frac := g.spec.MemFrac
 	repeat := g.spec.StreamRepeat
@@ -394,21 +384,33 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 	// register set small.
 	var mispredicts, memOps, stores uint64
 
-	// The buffer-full check rides on the memory path (the only writer), not
-	// the per-instruction loop condition — the skip path's loop overhead is
-	// one compare.
+	// The buffer-full check rides on the memory-only path (the only one
+	// that can stop early), not the per-instruction loop condition — the
+	// skip path's loop overhead is one compare.
 	for consumed < maxInstr {
 		credit += frac
 		consumed++
 		var v uint64
 		if credit < 1 {
-			// Non-memory instruction: the serial-dep draw is unobserved
-			// (state advance only); the mispredict draw feeds the counter.
-			s0, s1, s2, s3 = xoAdvance(s0, s1, s2, s3)
+			// Non-memory instruction: the serial-dep draw, then the
+			// mispredict draw, which feeds the counter. A warm stream
+			// never observes the serial-dep value, so it only advances.
+			if !full {
+				s0, s1, s2, s3 = xoAdvance(s0, s1, s2, s3)
+				v, s0, s1, s2, s3 = xoDraw(s0, s1, s2, s3)
+				if bits.RotateLeft64(v*minv, -k) <= divThresh {
+					mispredicts++
+				}
+				continue
+			}
 			v, s0, s1, s2, s3 = xoDraw(s0, s1, s2, s3)
-			if bits.RotateLeft64(v*minv, -k) <= divThresh {
+			dep := v>>11 < serialT
+			v, s0, s1, s2, s3 = xoDraw(s0, s1, s2, s3)
+			mis := bits.RotateLeft64(v*minv, -k) <= divThresh
+			if mis {
 				mispredicts++
 			}
+			ins[consumed-1] = cpu.Instr{Dep: dep, Mispredict: mis}
 			continue
 		}
 		credit--
@@ -540,22 +542,32 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 
 		v, s0, s1, s2, s3 = xoDraw(s0, s1, s2, s3)
 		isStore := v>>11 < storeT
-		// The dep draw Next takes for loads; its value is unobserved. The
-		// advanced state is computed unconditionally and selected, keeping
-		// the randomly-taken store/load split off the branch predictor.
-		a0, a1, a2, a3 := xoAdvance(s0, s1, s2, s3)
-		if !isStore {
-			s0, s1, s2, s3 = a0, a1, a2, a3
-		}
 		memOps++
 		var s64 uint64
 		if isStore {
 			s64 = 1
 		}
 		stores += s64
-		buf[n] = cpu.MemRef{Block: layout(id), Store: isStore}
+		// The dep draw Next takes for loads only. The advanced state is
+		// computed unconditionally and selected, keeping the randomly-taken
+		// store/load split off the branch predictor.
+		if full {
+			dv, a0, a1, a2, a3 := xoDraw(s0, s1, s2, s3)
+			if !isStore {
+				s0, s1, s2, s3 = a0, a1, a2, a3
+			}
+			dep := !isStore && dv>>11 < depT
+			ins[consumed-1] = cpu.Instr{IsMem: true, IsStore: isStore, Block: layout(id), Dep: dep}
+			continue
+		}
+		// A warm stream never observes the value: advance only.
+		a0, a1, a2, a3 := xoAdvance(s0, s1, s2, s3)
+		if !isStore {
+			s0, s1, s2, s3 = a0, a1, a2, a3
+		}
+		mems[n] = cpu.MemRef{Block: layout(id), Store: isStore}
 		n++
-		if n == len(buf) {
+		if n == len(mems) {
 			break
 		}
 	}

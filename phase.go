@@ -54,19 +54,22 @@ func phaseProfileKey(spec workload.Spec, opt Options) string {
 // whether the store supplied the profile; because clustering is
 // bit-deterministic in the key, a cached profile selects exactly the
 // intervals a recompute would.
-func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compute func(key string) sample.Profile) (sample.Profile, bool) {
+func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compute func(key string) (sample.Profile, error)) (sample.Profile, bool, error) {
 	key := phaseProfileKey(spec, opt)
 	if opt.PhaseProfiles != nil {
 		if prof, ok := opt.PhaseProfiles.Get(key); ok &&
 			prof.Key == key && prof.Check(opt.RunInstructions, sopt) == nil {
-			return prof, true
+			return prof, true, nil
 		}
 	}
-	prof := compute(key)
+	prof, err := compute(key)
+	if err != nil {
+		return sample.Profile{}, false, err
+	}
 	if opt.PhaseProfiles != nil {
 		opt.PhaseProfiles.Put(key, prof)
 	}
-	return prof, false
+	return prof, false, nil
 }
 
 // computePhaseProfile runs the profiling pass over a prepared single-core
@@ -74,7 +77,7 @@ func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compu
 // caches, rewind. The rewound generator is bit-identical to one that never
 // profiled (the counters it dirtied reset, matching prepare's contract
 // that metrics cover only the timed interval).
-func computePhaseProfile(key string, gen *workload.Generator, opt Options) sample.Profile {
+func computePhaseProfile(key string, gen *workload.Generator, opt Options) (sample.Profile, error) {
 	st := gen.State()
 	prof := cpu.NewPhaseProfiler(config.DefaultSystem())
 	lens := sample.WindowLengths(opt.RunInstructions, opt.PhaseWindows)
@@ -87,7 +90,7 @@ func computePhaseProfile(key string, gen *workload.Generator, opt Options) sampl
 	}
 	gen.SetState(st)
 	gen.ResetCounters()
-	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr)
+	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr, opt.Cancel)
 }
 
 // computePhaseProfileCMP is the N-core profiling pass: every core's stream
@@ -95,7 +98,7 @@ func computePhaseProfile(key string, gen *workload.Generator, opt Options) sampl
 // an uncontended view of the L2), features sum across cores, and window
 // weights stay per-core instruction counts to match RunTarget's per-core
 // accounting.
-func computePhaseProfileCMP(key string, gens []*workload.CMPStream, opt Options) sample.Profile {
+func computePhaseProfileCMP(key string, gens []*workload.CMPStream, opt Options) (sample.Profile, error) {
 	states := make([]workload.CMPState, len(gens))
 	for i, g := range gens {
 		states[i] = g.State()
@@ -120,7 +123,7 @@ func computePhaseProfileCMP(key string, gens []*workload.CMPStream, opt Options)
 		g.SetState(states[i])
 		g.ResetCounters()
 	}
-	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr)
+	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr, opt.Cancel)
 }
 
 // registerPhaseMetrics publishes phase-sampling provenance. The counters
@@ -268,9 +271,12 @@ func runSpecPhased(d Design, spec workload.Spec, opt Options, sopt sample.Option
 	if err != nil {
 		return SampledResult{}, err
 	}
-	prof, cached := phaseProfileFor(spec, opt, sopt, func(key string) sample.Profile {
+	prof, cached, err := phaseProfileFor(spec, opt, sopt, func(key string) (sample.Profile, error) {
 		return computePhaseProfile(key, gen, opt)
 	})
+	if err != nil {
+		return SampledResult{}, fmt.Errorf("tlc: %v %s phase profiling cancelled: %w", d, spec.Name, err)
+	}
 	reg := inst.Metrics()
 	registerPhaseMetrics(reg, prof, cached)
 	obs, observe := newPhaseObserver(reg, inst, prof)
@@ -297,9 +303,12 @@ func runSpecCMPPhased(d Design, spec workload.Spec, opt Options, sopt sample.Opt
 	if err != nil {
 		return SampledResult{}, err
 	}
-	prof, cached := phaseProfileFor(spec, opt, sopt, func(key string) sample.Profile {
+	prof, cached, err := phaseProfileFor(spec, opt, sopt, func(key string) (sample.Profile, error) {
 		return computePhaseProfileCMP(key, gens, opt)
 	})
+	if err != nil {
+		return SampledResult{}, fmt.Errorf("tlc: %v %s phase profiling cancelled: %w", d, spec.Name, err)
+	}
 	reg := inst.Metrics()
 	registerPhaseMetrics(reg, prof, cached)
 	obs, observe := newPhaseObserver(reg, inst, prof)

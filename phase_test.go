@@ -1,9 +1,11 @@
 package tlc
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"tlc/internal/workload"
 )
@@ -291,3 +293,54 @@ func TestPhaseContentKey(t *testing.T) {
 }
 
 func withPhase(o Options, w, k int) Options { o.PhaseWindows = w; o.PhaseClusters = k; return o }
+
+// TestPhaseProfilingHonoursCancel: a phase-mode run whose profile pass
+// clusters 20 000 windows into 20 000 phases — an input Validate accepts —
+// stops at the run's cancel hook instead of spinning in k-means. The
+// machine restores from a checkpoint, so the first poll of the hook is the
+// profiling pass's.
+func TestPhaseProfilingHonoursCancel(t *testing.T) {
+	opt := Options{WarmInstructions: 10_000, RunInstructions: 20_000, Seed: 1,
+		Checkpoints: NewCheckpointStore(0, "")}
+	if _, err := Run(DesignTLC, "gcc", opt); err != nil {
+		t.Fatal(err)
+	}
+	opt = withPhase(opt, 20_000, 20_000)
+	if err := opt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	opt.Cancel = func() error { return stop }
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(DesignTLC, "gcc", opt)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, stop) {
+			t.Fatalf("cancelled phase run returned %v, want the hook's error", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("phase-mode run ignored its cancel hook while clustering")
+	}
+}
+
+// TestValidatePhaseFieldsMatchSample: Options.Validate reports a bad phase
+// field combination with exactly the error the sampler's own validation
+// gives, since both come from sample.Options.ValidatePhaseFields.
+func TestValidatePhaseFieldsMatchSample(t *testing.T) {
+	base := Options{RunInstructions: 200_000, Seed: 1}
+	for _, o := range []Options{
+		func() Options { o := withPhase(base, 40, 14); o.SampleIntervals = 5; return o }(),
+		withPhase(base, 0, 14),
+		withPhase(base, 40, 0),
+		withPhase(base, 10, 14),
+	} {
+		got := o.Validate()
+		want := o.SampleOptions().Validate(o.RunInstructions)
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("%+v: Validate() = %v, sampler says %v", o.SampleOptions(), got, want)
+		}
+	}
+}

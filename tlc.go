@@ -302,25 +302,7 @@ func (o Options) Validate() error {
 	if err := o.validateRanges(); err != nil {
 		return err
 	}
-	if o.phaseMode() {
-		if o.SampleIntervals > 0 {
-			return fmt.Errorf("sample: Intervals=%d combined with PhaseWindows=%d/PhaseClusters=%d; uniform and phase sampling are mutually exclusive",
-				o.SampleIntervals, o.PhaseWindows, o.PhaseClusters)
-		}
-		if o.PhaseWindows <= 0 {
-			return fmt.Errorf("sample: PhaseWindows=%d; phase mode needs at least 1 window (set with PhaseClusters=%d)",
-				o.PhaseWindows, o.PhaseClusters)
-		}
-		if o.PhaseClusters <= 0 {
-			return fmt.Errorf("sample: PhaseClusters=%d; phase mode needs at least 1 cluster (set with PhaseWindows=%d)",
-				o.PhaseClusters, o.PhaseWindows)
-		}
-		if o.PhaseClusters > o.PhaseWindows {
-			return fmt.Errorf("sample: PhaseClusters=%d exceeds PhaseWindows=%d; cannot have more clusters than windows",
-				o.PhaseClusters, o.PhaseWindows)
-		}
-	}
-	return nil
+	return o.SampleOptions().ValidatePhaseFields()
 }
 
 // validateRanges rejects scalar inputs outside their domains: a run with

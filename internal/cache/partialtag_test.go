@@ -13,15 +13,14 @@ func TestPartialTagNoFalseNegatives(t *testing.T) {
 	p := NewPartialTags(sets, banks, assoc)
 	b := blk(5, 3, sets)
 	p.Install(b, 2, 1)
-	cands := p.Candidates(b)
-	if len(cands) != 1 || cands[0] != 2 {
-		t.Fatalf("candidates %v, want [2]", cands)
+	if m := p.MatchMask(b); m != 1<<2 {
+		t.Fatalf("match mask %#b, want bank 2 only", m)
 	}
-	if !p.MatchesIn(b, 2) {
-		t.Fatal("MatchesIn missed installed block")
+	if p.MatchCount(b, 2) != 1 {
+		t.Fatal("MatchCount missed installed block")
 	}
-	if p.MatchesIn(b, 1) {
-		t.Fatal("MatchesIn matched wrong bank")
+	if p.MatchCount(b, 1) != 0 {
+		t.Fatal("MatchCount matched wrong bank")
 	}
 }
 
@@ -36,9 +35,8 @@ func TestPartialTagFalsePositive(t *testing.T) {
 		t.Fatal("test blocks should share a partial tag")
 	}
 	p.Install(a, 0, 0)
-	cands := p.Candidates(b)
-	if len(cands) != 1 || cands[0] != 0 {
-		t.Fatalf("expected false-positive candidate [0], got %v", cands)
+	if m := p.MatchMask(b); m != 1 {
+		t.Fatalf("expected false-positive candidate bank 0, got mask %#b", m)
 	}
 }
 
@@ -48,7 +46,7 @@ func TestPartialTagClear(t *testing.T) {
 	b := blk(5, 3, sets)
 	p.Install(b, 1, 0)
 	p.Clear(b, 1, 0)
-	if len(p.Candidates(b)) != 0 {
+	if p.MatchMask(b) != 0 {
 		t.Fatal("cleared entry still matches")
 	}
 }
@@ -120,7 +118,7 @@ func TestQuickPartialTagConsistency(t *testing.T) {
 			}
 			// No false negatives for any resident block.
 			for rb := range resident {
-				if !p.MatchesIn(rb, 0) {
+				if p.MatchMask(rb)&1 == 0 {
 					return false
 				}
 			}

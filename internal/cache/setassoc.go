@@ -330,16 +330,16 @@ type Line struct {
 }
 
 // LinesIn reports the valid lines of a set, in way order. Callers (the
-// DNUCA controller) use it to resynchronize partial-tag shadows after a
-// migration or fill mutates a set.
+// TLCopt controller) use it to resynchronize partial-tag shadows after a
+// fill mutates a set.
 func (c *SetAssoc) LinesIn(set int) []Line {
 	return c.AppendLinesIn(nil, set)
 }
 
 // AppendLinesIn appends the valid lines of a set to dst, in way order, and
 // returns the extended slice. Passing a reused buffer (dst[:0] with capacity
-// >= assoc) keeps the resynchronization path allocation-free — it is the
-// hottest call on the fill/migration path.
+// >= assoc) keeps the resynchronization path allocation-free — it runs on
+// every TLCopt fill and writeback.
 func (c *SetAssoc) AppendLinesIn(dst []Line, set int) []Line {
 	if set < 0 || set >= c.sets {
 		panic(fmt.Sprintf("cache: set %d out of range", set))

@@ -1,6 +1,8 @@
 package nuca
 
 import (
+	"math/bits"
+
 	"tlc/internal/cache"
 	"tlc/internal/config"
 	"tlc/internal/l2"
@@ -55,13 +57,15 @@ type DNUCA struct {
 	memory      l2.Memory
 	// banks[col][row]
 	banks [][]*cache.Bank
-	// ptags[col] shadows the 16 row-banks of one bank set.
+	// ptags[col] shadows the 16 row-banks of one bank set. It is kept
+	// exact whatever the timing model charges for, so every location
+	// query reads it: which rows may hold a block (MatchMask) and which
+	// rows have a free way (FreeMask).
 	ptags []*cache.PartialTags
 	sets  int
-	// lineScratch is the reused buffer for partial-tag resyncs.
-	lineScratch []cache.Line
-	// candScratch is the reused candidate-bank buffer for far searches.
-	candScratch []int
+	// colBits is log2 of the bank-set count: the block bits that pick a
+	// column.
+	colBits int
 
 	// Design-specific counters (Table 6).
 	CloseHits  stats64
@@ -95,12 +99,13 @@ const (
 func NewDNUCA(memLat sim.Time) *DNUCA {
 	p := config.NUCAFor(config.DNUCA)
 	d := &DNUCA{
-		Stats:  l2.NewStats(),
-		p:      p,
-		mesh:   noc.New(p.Mesh),
-		memory: l2.FlatMemory{Latency: memLat},
-		sets:   p.BankBytes / mem.BlockBytes / p.BankAssoc,
-		reg:    metrics.New(),
+		Stats:   l2.NewStats(),
+		p:       p,
+		mesh:    noc.New(p.Mesh),
+		memory:  l2.FlatMemory{Latency: memLat},
+		sets:    p.BankBytes / mem.BlockBytes / p.BankAssoc,
+		colBits: mem.Log2(p.BankSets),
+		reg:     metrics.New(),
 	}
 	for c := 0; c < p.Mesh.Cols; c++ {
 		col := make([]*cache.Bank, p.Mesh.Rows)
@@ -145,26 +150,33 @@ func (d *DNUCA) Params() config.NUCAParams { return d.p }
 // XOR-folds higher address bits into the low bits (bank hashing), matching
 // the other designs.
 func (d *DNUCA) colOf(b mem.Block) int {
-	return int(mem.FoldHash(uint64(b), mem.Log2(d.p.BankSets)))
+	return int(mem.FoldHash(uint64(b), d.colBits))
 }
 
 // local strips the bank-set bits for per-column set indexing.
 func (d *DNUCA) local(b mem.Block) mem.Block {
-	return b >> uint(mem.Log2(d.p.BankSets))
+	return b >> uint(d.colBits)
 }
 
 // unlocal reconstructs the global block from a column-local id by
 // inverting the bank-set hash.
 func (d *DNUCA) unlocal(local mem.Block, col int) mem.Block {
-	bits := mem.Log2(d.p.BankSets)
-	low := uint64(col) ^ mem.FoldHash(uint64(local), bits)
-	return local<<uint(bits) | mem.Block(low)
+	low := uint64(col) ^ mem.FoldHash(uint64(local), d.colBits)
+	return local<<uint(d.colBits) | mem.Block(low)
 }
 
 // findRow reports which row-bank of the column currently holds the block,
 // or -1.
 func (d *DNUCA) findRow(col int, local mem.Block) int {
-	for r := 0; r < d.p.Mesh.Rows; r++ {
+	return d.rowIn(col, local, d.ptags[col].MatchMask(local))
+}
+
+// rowIn reports which row of the partial-tag match mask m holds the block,
+// or -1. The shadow has no false negatives, so only matching rows are
+// probed, nearest first.
+func (d *DNUCA) rowIn(col int, local mem.Block, m uint64) int {
+	for ; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
 		if d.banks[col][r].Array.Lookup(local) {
 			return r
 		}
@@ -175,13 +187,27 @@ func (d *DNUCA) findRow(col int, local mem.Block) int {
 // farRow is the insertion row: the farthest bank from the controller.
 func (d *DNUCA) farRow() int { return d.p.Mesh.Rows - 1 }
 
-// syncPTag resynchronizes the partial-tag shadow of one (column,row) set.
-// It reuses a scratch line buffer: resyncs run on every fill, migration,
-// and promotion, and a fresh slice per call dominated the allocation
-// profile.
-func (d *DNUCA) syncPTag(col, row int, set int) {
-	d.lineScratch = d.banks[col][row].Array.AppendLinesIn(d.lineScratch[:0], set)
-	d.ptags[col].SyncSet(set, row, d.lineScratch)
+// install places local in the given row and writes the one shadow entry
+// the insert changed (an evicted victim held the same way). It returns the
+// victim, if any. TouchOrInsertAt leaves the array as Insert would, in one
+// set scan.
+func (d *DNUCA) install(col, row int, local mem.Block) (victim mem.Block, evicted bool) {
+	idx, _, victim, evicted := d.banks[col][row].Array.TouchOrInsertAt(local)
+	d.ptags[col].Install(local, row, idx%d.p.BankAssoc)
+	return victim, evicted
+}
+
+// swap moves local from row `from` to row `to` of its column; the block it
+// displaces there, if any, takes the freed place in `from`. The shadow
+// entries of the two or three ways involved are written directly.
+func (d *DNUCA) swap(col, from, to int, local mem.Block) {
+	src := d.banks[col][from].Array
+	way, _ := src.WayOf(local)
+	src.Remove(local)
+	d.ptags[col].Clear(local, from, way)
+	if victim, evicted := d.install(col, to, local); evicted {
+		d.install(col, from, victim)
+	}
 }
 
 // nominalClose reports the uncontended close-hit latency at the given row.
@@ -235,6 +261,12 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 		return out
 	}
 
+	// One read of the partial tags names every row that may hold the
+	// block: the resident row is among them, and the rest are the far
+	// search's false positives.
+	match := d.ptags[col].MatchMask(local)
+	actualRow := d.rowIn(col, local, match)
+
 	// Probe the two closest banks and the partial tags in parallel. The
 	// close probe is a single multicast request: the row-0 bank snoops the
 	// message as it passes on its way to row 1; each bank responds with
@@ -253,7 +285,7 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	for r := 0; r < closeRows; r++ {
 		done := d.banks[col][r].Reserve(arrive[r])
 		bytes := reqBytes
-		if d.banks[col][r].Array.Lookup(local) {
+		if r == actualRow {
 			bytes = dataBytes
 		}
 		respArrive[r] = d.mesh.Route(done, col, r, bytes, noc.ToController)
@@ -265,7 +297,6 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	// keeps exact.
 	ptagDone := at + sim.Time(ptagLookupBusy) + d.p.PTagLatency
 
-	actualRow := d.findRow(col, local)
 	if actualRow >= 0 && actualRow < closeRows {
 		// Close hit.
 		resolve := respArrive[actualRow]
@@ -281,27 +312,14 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	}
 
 	// Partial tags name the remaining candidates; without them, every
-	// remaining bank of the bank set must be searched. The scratch buffer
-	// lives on the struct so steady-state searches allocate nothing; it is
-	// dead once Access returns.
-	cands := d.candScratch[:0]
+	// remaining bank of the bank set must be searched.
+	const closeMask = 1<<closeRows - 1
+	cands := match &^ closeMask
 	if d.Abl.DisablePartialTags {
-		for r := closeRows; r < d.p.Mesh.Rows; r++ {
-			cands = append(cands, r)
-		}
-	} else {
-		// Filter in place: cands re-uses all's backing array, and the write
-		// index never passes the read index.
-		all := d.ptags[col].AppendCandidates(cands, local)
-		for _, bank := range all {
-			if bank >= closeRows {
-				cands = append(cands, bank)
-			}
-		}
+		cands = (1<<d.p.Mesh.Rows - 1) &^ closeMask
 	}
-	d.candScratch = cands[:0]
 
-	if len(cands) == 0 {
+	if cands == 0 {
 		// Fast miss: nothing beyond the close banks can match; declared
 		// when the slower close probe and the tag check have both
 		// resolved.
@@ -323,7 +341,7 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	// Multicast search of the candidate banks, launched once the partial
 	// tags have been read.
 	d.Searches.Inc()
-	banksTouched := closeRows + len(cands)
+	banksTouched := closeRows + bits.OnesCount64(cands)
 	var resolve sim.Time
 	hit := false
 	var worst sim.Time
@@ -332,7 +350,8 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 			worst = t
 		}
 	}
-	for _, r := range cands {
+	for ; cands != 0; cands &= cands - 1 {
+		r := bits.TrailingZeros64(cands)
 		arrive := d.mesh.Route(ptagDone, col, r, reqBytes, noc.ToBank)
 		done := d.banks[col][r].Reserve(arrive)
 		bytes := reqBytes
@@ -401,15 +420,7 @@ func (d *DNUCA) promote(at sim.Time, col, fromRow int, local mem.Block) {
 	t = d.mesh.RouteBetween(t, col, toRow, fromRow, dataBytes)
 	from.Reserve(t)
 
-	// Functional swap.
-	set := local.SetIndex(d.sets)
-	from.Array.Remove(local)
-	victim, evicted := to.Array.Insert(local)
-	if evicted {
-		from.Array.Insert(victim)
-	}
-	d.syncPTag(col, fromRow, set)
-	d.syncPTag(col, toRow, set)
+	d.swap(col, fromRow, toRow, local)
 	d.Promotions.Inc()
 }
 
@@ -420,7 +431,7 @@ func (d *DNUCA) fill(at sim.Time, col int, local mem.Block) {
 	bank := d.banks[col][row]
 	arrive := d.mesh.Route(at, col, row, dataBytes, noc.ToBank)
 	done := bank.Reserve(arrive)
-	victim, evicted := bank.Array.Insert(local)
+	victim, evicted := d.install(col, row, local)
 	if evicted {
 		d.mesh.Route(done, col, row, dataBytes, noc.ToController)
 		d.Writebacks.Inc()
@@ -428,7 +439,6 @@ func (d *DNUCA) fill(at sim.Time, col int, local mem.Block) {
 			d.OnWriteback(d.unlocal(victim, col))
 		}
 	}
-	d.syncPTag(col, row, local.SetIndex(d.sets))
 	d.Insertions.Inc()
 }
 
@@ -454,16 +464,11 @@ func (d *DNUCA) Warm(b mem.Block) {
 		// (approximating the placement gradient a long warm-up leaves);
 		// once the column's set is full this degenerates to the paper's
 		// insert-far-with-eviction.
-		set := local.SetIndex(d.sets)
 		target := d.farRow()
-		for r := d.farRow(); r >= 0; r-- {
-			if _, wouldEvict := d.banks[col][r].Array.VictimOf(local); !wouldEvict {
-				target = r
-				break
-			}
+		if free := d.ptags[col].FreeMask(local.SetIndex(d.sets)); free != 0 {
+			target = 63 - bits.LeadingZeros64(free)
 		}
-		d.banks[col][target].Array.Insert(local)
-		d.syncPTag(col, target, set)
+		d.install(col, target, local)
 		return
 	}
 	d.banks[col][row].Array.Touch(local)
@@ -472,16 +477,7 @@ func (d *DNUCA) Warm(b mem.Block) {
 		// halfway to the controller rather than one row, reaching the
 		// same frequency-ordered fixed point the paper's billion-
 		// instruction warm-up converges to in far fewer passes.
-		set := local.SetIndex(d.sets)
-		from := d.banks[col][row]
-		to := d.banks[col][row/2]
-		from.Array.Remove(local)
-		victim, evicted := to.Array.Insert(local)
-		if evicted {
-			from.Array.Insert(victim)
-		}
-		d.syncPTag(col, row, set)
-		d.syncPTag(col, row/2, set)
+		d.swap(col, row, row/2, local)
 	}
 }
 

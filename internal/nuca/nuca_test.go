@@ -332,7 +332,7 @@ func TestQuickDNUCAResidencyInvariant(t *testing.T) {
 			for r := 0; r < d.p.Mesh.Rows; r++ {
 				if d.banks[col][r].Array.Lookup(local) {
 					count++
-					if !d.ptags[col].MatchesIn(local, r) {
+					if d.ptags[col].MatchMask(local)&(1<<r) == 0 {
 						return false // partial tag false negative
 					}
 				}

@@ -2,9 +2,11 @@ package nuca
 
 import (
 	"fmt"
+	"slices"
 
 	"tlc/internal/cache"
 	"tlc/internal/l2"
+	"tlc/internal/mem"
 )
 
 // SNUCAState is the functional contents of a SNUCA cache: one array state
@@ -34,6 +36,17 @@ func (s *SNUCA) RestoreState(state l2.State) error {
 	}
 	for i, b := range s.banks {
 		if err := b.Array.Restore(st.Banks[i]); err != nil {
+			return fmt.Errorf("nuca: bank %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Validate checks that a decoded state is one SnapshotState could have
+// produced: every bank array passes cache.SetAssocState.Validate.
+func (st SNUCAState) Validate() error {
+	for i, b := range st.Banks {
+		if err := b.Validate(); err != nil {
 			return fmt.Errorf("nuca: bank %d: %w", i, err)
 		}
 	}
@@ -91,6 +104,59 @@ func (d *DNUCA) RestoreState(state l2.State) error {
 	for i, p := range d.ptags {
 		if err := p.Restore(st.PTags[i]); err != nil {
 			return fmt.Errorf("nuca: ptag %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Validate checks that a decoded state is one SnapshotState could have
+// produced: every bank array and shadow is well formed, each column's
+// shadow agrees entry for entry with its rows (lookups trust it), and no
+// block is resident in two rows of its column.
+func (st DNUCAState) Validate() error {
+	if len(st.PTags) != len(st.Banks) {
+		return fmt.Errorf("nuca: state has %d columns and %d ptags", len(st.Banks), len(st.PTags))
+	}
+	for c, col := range st.Banks {
+		for r, b := range col {
+			if err := b.Validate(); err != nil {
+				return fmt.Errorf("nuca: bank %d/%d: %w", c, r, err)
+			}
+		}
+		pt := st.PTags[c]
+		if err := pt.Validate(); err != nil {
+			return fmt.Errorf("nuca: ptag %d: %w", c, err)
+		}
+		if err := pt.CheckShadows(col); err != nil {
+			return fmt.Errorf("nuca: ptag %d: %w", c, err)
+		}
+		if err := oneRowPerBlock(col); err != nil {
+			return fmt.Errorf("nuca: column %d: %w", c, err)
+		}
+	}
+	return nil
+}
+
+// oneRowPerBlock reports a block resident in two rows of one column. The
+// rows share one geometry (CheckShadows has checked it).
+func oneRowPerBlock(rows []cache.SetAssocState) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	sets, assoc := rows[0].Sets, rows[0].Assoc
+	var seen []mem.Block
+	for set := 0; set < sets; set++ {
+		seen = seen[:0]
+		for _, a := range rows {
+			for i := set * assoc; i < (set+1)*assoc; i++ {
+				if !a.Valid[i] {
+					continue
+				}
+				if slices.Contains(seen, a.Lines[i]) {
+					return fmt.Errorf("block %#x resident in two rows", uint64(a.Lines[i]))
+				}
+				seen = append(seen, a.Lines[i])
+			}
 		}
 	}
 	return nil

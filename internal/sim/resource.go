@@ -45,32 +45,44 @@ func (r *Resource) Reserve(at, dur Time) Time {
 	}
 	// Prune spans that end at or before `at`: they cannot conflict with
 	// this or (in the common monotone-time case) any later reservation.
-	// Compact in place rather than re-slicing forward so the backing
-	// array's capacity is retained — the calendar reaches a steady-state
-	// size and stops allocating.
+	// The calendar almost always holds one to three spans, so the prune,
+	// the gap search and the insert shift elements in place with plain
+	// loops instead of calling memmove; the backing array keeps its
+	// capacity, so a steady-state calendar stops allocating.
+	iv := r.intervals
 	i := 0
-	for i < len(r.intervals) && r.intervals[i].end <= at {
+	for i < len(iv) && iv[i].end <= at {
 		i++
 	}
 	if i > 0 {
-		n := copy(r.intervals, r.intervals[i:])
-		r.intervals = r.intervals[:n]
+		for k := i; k < len(iv); k++ {
+			iv[k-i] = iv[k]
+		}
+		iv = iv[:len(iv)-i]
 	}
 	// Find the earliest gap of length dur starting at or after `at`.
 	start := at
-	insert := len(r.intervals)
-	for j, s := range r.intervals {
-		if start+dur <= s.start {
+	insert := len(iv)
+	for j := range iv {
+		if start+dur <= iv[j].start {
 			insert = j
 			break
 		}
-		if s.end > start {
-			start = s.end
+		if iv[j].end > start {
+			start = iv[j].end
 		}
 	}
-	r.intervals = append(r.intervals, span{})
-	copy(r.intervals[insert+1:], r.intervals[insert:])
-	r.intervals[insert] = span{start: start, end: start + dur}
+	s := span{start: start, end: start + dur}
+	if insert == len(iv) {
+		iv = append(iv, s)
+	} else {
+		iv = append(iv, iv[len(iv)-1])
+		for k := len(iv) - 2; k > insert; k-- {
+			iv[k] = iv[k-1]
+		}
+		iv[insert] = s
+	}
+	r.intervals = iv
 	if start+dur > r.maxEnd {
 		r.maxEnd = start + dur
 	}

@@ -291,5 +291,43 @@ func (s *Store) load(k Key) (Checkpoint, bool) {
 		}
 		return Checkpoint{}, false
 	}
+	if err := env.Checkpoint.Validate(); err != nil {
+		// Gob-valid but not a state any machine could have written: its
+		// restore would trip an array invariant or trust a shadow that
+		// disagrees with its arrays. Treat as a miss.
+		if s.diskErr == nil {
+			s.diskErr = fmt.Errorf("snapshot: reading %s: %w", k, err)
+		}
+		return Checkpoint{}, false
+	}
 	return env.Checkpoint, true
+}
+
+// validator is implemented by every L2 state registered with gob above.
+type validator interface{ Validate() error }
+
+// Validate checks a decoded checkpoint's cache states against the
+// invariants their Restore methods trust: every L1 array (the core's, and
+// each CMP core's) and the L2 state. Geometry against a particular machine
+// is the Restore methods' check. Checkpoints taken by this process's own
+// SnapshotState satisfy it by construction, so only disk loads pay for it.
+func (c Checkpoint) Validate() error {
+	if err := c.Core.L1.Validate(); err != nil {
+		return fmt.Errorf("core L1: %w", err)
+	}
+	v, ok := c.L2.(validator)
+	if !ok {
+		return fmt.Errorf("L2 state %T cannot be validated", c.L2)
+	}
+	if err := v.Validate(); err != nil {
+		return err
+	}
+	if c.CMP != nil {
+		for i, core := range c.CMP.Cores {
+			if err := core.L1.Validate(); err != nil {
+				return fmt.Errorf("core %d L1: %w", i, err)
+			}
+		}
+	}
+	return nil
 }

@@ -2,12 +2,14 @@ package snapshot
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"tlc/internal/cache"
 	"tlc/internal/config"
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
@@ -188,5 +190,121 @@ func TestGobHandlesAllDesignStates(t *testing.T) {
 		if !reflect.DeepEqual(got.L2, st) {
 			t.Fatalf("%s: L2 state changed across the disk tier", name)
 		}
+	}
+}
+
+// TestStoreRejectsInconsistentCheckpoints writes gob-valid checkpoints
+// whose cache states break an invariant Restore trusts, and checks that a
+// fresh store treats each as a miss (recorded in DiskErr) instead of
+// serving it; the untouched checkpoints of the same designs must hit.
+func TestStoreRejectsInconsistentCheckpoints(t *testing.T) {
+	warmed := func(c l2.Cache) l2.State {
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 20000; i++ {
+			c.Warm(mem.Block(rng.Intn(1 << 16)))
+		}
+		return c.(l2.Snapshotter).SnapshotState()
+	}
+	// firstValid finds the first valid line of the given states.
+	firstValid := func(states []cache.SetAssocState) (int, int) {
+		for b, st := range states {
+			for i, v := range st.Valid {
+				if v {
+					return b, i
+				}
+			}
+		}
+		t.Fatal("no valid line")
+		return 0, 0
+	}
+	cases := []struct {
+		name    string
+		l2      func() l2.State
+		corrupt func(*Checkpoint)
+	}{
+		{"L1 duplicated LRU rank", func() l2.State { return warmed(nuca.NewSNUCA(300)) }, func(c *Checkpoint) {
+			c.Core.L1.LRU[1] = c.Core.L1.LRU[0]
+		}},
+		{"SNUCA duplicated LRU rank", func() l2.State { return warmed(nuca.NewSNUCA(300)) }, func(c *Checkpoint) {
+			st := c.L2.(nuca.SNUCAState)
+			st.Banks[3].LRU[5] = st.Banks[3].LRU[4]
+		}},
+		{"SNUCA line in another set", func() l2.State { return warmed(nuca.NewSNUCA(300)) }, func(c *Checkpoint) {
+			st := c.L2.(nuca.SNUCAState)
+			b, i := firstValid(st.Banks)
+			st.Banks[b].Lines[i]++
+		}},
+		{"DNUCA duplicated LRU rank", func() l2.State { return warmed(nuca.NewDNUCA(300)) }, func(c *Checkpoint) {
+			st := c.L2.(nuca.DNUCAState)
+			st.Banks[2][15].LRU[1] = st.Banks[2][15].LRU[0]
+		}},
+		{"DNUCA flipped shadow entry", func() l2.State { return warmed(nuca.NewDNUCA(300)) }, func(c *Checkpoint) {
+			st := c.L2.(nuca.DNUCAState)
+			for i, v := range st.PTags[0].Valid {
+				if v {
+					st.PTags[0].Valid[i] = false
+					return
+				}
+			}
+			t.Fatal("no valid shadow entry")
+		}},
+		{"DNUCA shadow tag", func() l2.State { return warmed(nuca.NewDNUCA(300)) }, func(c *Checkpoint) {
+			st := c.L2.(nuca.DNUCAState)
+			for i, v := range st.PTags[1].Valid {
+				if v {
+					st.PTags[1].Tags[i] ^= 1
+					return
+				}
+			}
+		}},
+		{"DNUCA block in two rows", func() l2.State { return warmed(nuca.NewDNUCA(300)) }, func(c *Checkpoint) {
+			st := c.L2.(nuca.DNUCAState)
+			col := st.Banks[4]
+			r, i := firstValid(col)
+			// Copy the line into a free way of another row's same set, with
+			// a matching shadow entry, so only the duplication is wrong.
+			for r2 := range col {
+				set := i / col[r].Assoc
+				for w := 0; w < col[r2].Assoc; w++ {
+					j := set*col[r2].Assoc + w
+					if r2 != r && !col[r2].Valid[j] {
+						col[r2].Lines[j], col[r2].Valid[j] = col[r].Lines[i], true
+						e := (set*len(col)+r2)*col[r2].Assoc + w
+						st.PTags[4].Tags[e], st.PTags[4].Valid[e] = col[r].Lines[i].PartialTag(col[r].Sets), true
+						return
+					}
+				}
+			}
+			t.Fatal("no free way to duplicate into")
+		}},
+		{"TLCopt shadow tag", func() l2.State { return warmed(tlcache.New(config.TLCOpt500, 300)) }, func(c *Checkpoint) {
+			st := c.L2.(tlcache.State)
+			g, i := firstValid(st.Groups)
+			st.PTags[g].Tags[i] ^= 1
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckp := fixture(t, 6)
+			ckp.L2 = tc.l2()
+			k := key(100 + i)
+			NewStore(4, dir).Put(k, ckp)
+			if _, ok := NewStore(4, dir).Get(k); !ok {
+				t.Fatal("consistent checkpoint missed")
+			}
+			if err := ckp.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&ckp)
+			NewStore(4, dir).Put(k, ckp)
+			s := NewStore(4, dir)
+			if _, ok := s.Get(k); ok {
+				t.Fatal("inconsistent checkpoint was served")
+			}
+			if s.DiskErr() == nil {
+				t.Fatal("inconsistent checkpoint not reported via DiskErr")
+			}
+		})
 	}
 }

@@ -53,3 +53,29 @@ func (c *Cache) RestoreState(state l2.State) error {
 	}
 	return nil
 }
+
+// Validate checks that a decoded state is one SnapshotState could have
+// produced: every group array and shadow is well formed, and each shadow
+// is either unused (designs without in-bank partial tags never fill it)
+// or agrees entry for entry with its group.
+func (st State) Validate() error {
+	if len(st.PTags) != len(st.Groups) {
+		return fmt.Errorf("tlcache: state has %d groups and %d ptags", len(st.Groups), len(st.PTags))
+	}
+	for i, g := range st.Groups {
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("tlcache: group %d: %w", i, err)
+		}
+		pt := st.PTags[i]
+		if err := pt.Validate(); err != nil {
+			return fmt.Errorf("tlcache: ptag %d: %w", i, err)
+		}
+		if pt.Unused() {
+			continue
+		}
+		if err := pt.CheckShadows([]cache.SetAssocState{g}); err != nil {
+			return fmt.Errorf("tlcache: ptag %d: %w", i, err)
+		}
+	}
+	return nil
+}

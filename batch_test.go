@@ -7,6 +7,7 @@ import (
 	"tlc/internal/config"
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
+	"tlc/internal/machine"
 	"tlc/internal/sample"
 	"tlc/internal/workload"
 )
@@ -112,7 +113,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 					core := cpu.New(config.DefaultSystem(), cacheArm)
 					gen.PreWarm(cacheArm)
 					core.Warm(streamArm, 100_000)
-					est := sample.Run(core, streamArm, total, opt, nil)
+					est := sample.RunTarget(machine.New([]*cpu.Core{core}, []cpu.Stream{streamArm}, nil), total, opt, nil)
 					return est, core.Snapshot(), inst.(l2.Snapshotter).SnapshotState()
 				}
 				sEst, sCore, sL2 := run(true)

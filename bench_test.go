@@ -341,24 +341,26 @@ func BenchmarkTimedThroughput(b *testing.B) {
 				opt.Checkpoints = NewCheckpointStore(0, "")
 				// The first prepare warms and fills the store; every
 				// machine after it restores.
-				if _, _, _, err := prepare(d, spec, opt); err != nil {
+				if _, err := prepare(d, spec, opt); err != nil {
 					b.Fatal(err)
 				}
 				n := opt.RunInstructions
 				var batchedNS, scalarNS time.Duration
 				for i := 0; i < b.N; i++ {
-					_, fastCore, fastGen, err := prepare(d, spec, opt)
+					fastRig, err := prepare(d, spec, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
-					_, scalarCore, scalarGen, err := prepare(d, spec, opt)
+					scalarRig, err := prepare(d, spec, opt)
 					if err != nil {
 						b.Fatal(err)
 					}
+					fastGen := fastRig.streams[0].(*workload.Generator)
+					scalarGen := scalarRig.streams[0].(*workload.Generator)
 					t0 := time.Now()
-					fast := fastCore.Run(fastGen, n)
+					fast := fastRig.cores[0].Run(fastGen, n)
 					t1 := time.Now()
-					scalar := scalarCore.Run(scalarStream{scalarGen}, n)
+					scalar := scalarRig.cores[0].Run(scalarStream{scalarGen}, n)
 					batchedNS += t1.Sub(t0)
 					scalarNS += time.Since(t1)
 					if fast != scalar {

@@ -8,7 +8,6 @@ import (
 
 	"tlc/internal/cache"
 	"tlc/internal/config"
-	"tlc/internal/cpu"
 	"tlc/internal/nuca"
 	"tlc/internal/snapshot"
 	"tlc/internal/workload"
@@ -27,7 +26,7 @@ func fuzzKey(d Design) (snapshot.Key, workload.Spec) {
 	spec, _ := workload.SpecByName("gcc")
 	opt := fuzzCkptOptions()
 	seed, warm := warmPlan(spec, opt)
-	return snapshot.Key{Config: configHash(d, spec, singleCoreCMP(), opt.fidelity()), Bench: spec.Name, Seed: seed, Warm: warm}, spec
+	return snapshot.Key{Config: configHash(d, spec, opt.cmpConfig(), opt.fidelity()), Bench: spec.Name, Seed: seed, Warm: warm}, spec
 }
 
 // storeFile reports the single checkpoint file a store wrote to dir.
@@ -65,7 +64,7 @@ func newCkptHarness(tb testing.TB) *ckptHarness {
 
 // loadAndRun writes data as the checkpoint file of Designs()[design%6]'s
 // key and reads it back through a fresh store. A served checkpoint is
-// restored into a fresh machine of that design, which then runs 10 k
+// restored into a fresh one-core machine of that design, which then runs 10 k
 // instructions. It reports whether the checkpoint was served and whether
 // it restored; any panic fails the caller.
 func (h *ckptHarness) loadAndRun(tb testing.TB, design uint8, data []byte) (served, restored bool) {
@@ -78,13 +77,11 @@ func (h *ckptHarness) loadAndRun(tb testing.TB, design uint8, data []byte) (serv
 		return false, false
 	}
 	opt := fuzzCkptOptions()
-	inst := build(Designs()[i], opt)
-	core := cpu.New(config.DefaultSystem(), inst)
-	gen := workload.New(h.spec, h.keys[i].Seed)
-	if !restoreCheckpoint(ckp, core, inst, gen) {
+	r := newRig(Designs()[i], h.spec, opt, h.keys[i].Seed)
+	if !r.restore(ckp) {
 		return true, false
 	}
-	core.Run(gen, opt.RunInstructions)
+	r.m.Run(opt.RunInstructions)
 	return true, true
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"tlc/internal/cpu"
-	"tlc/internal/machine"
 	"tlc/internal/snapshot"
 	"tlc/internal/workload"
 )
@@ -17,46 +16,6 @@ import (
 // cache state, short timed intervals.
 func cmpOptions() Options {
 	return Options{WarmInstructions: 200_000, RunInstructions: 100_000, Seed: 7}
-}
-
-// TestCMPSingleCoreEquivalence is the PR's non-negotiable invariant: a
-// one-core Machine over the same prepared state replays the legacy
-// single-core path bit-identically — same Result, same full registry
-// snapshot — for every design and every benchmark. RunSpec itself routes
-// N=1 around the CMP spine entirely; this pins that the spine, when asked
-// to run one core, would have produced the same numbers anyway.
-func TestCMPSingleCoreEquivalence(t *testing.T) {
-	opt := cmpOptions()
-	for _, d := range Designs() {
-		for _, spec := range workload.Specs() {
-			var ref MetricsSnapshot
-			ropt := opt
-			ropt.OnMetrics = func(ev MetricsEvent) { ref = ev.Snapshot }
-			want, err := RunSpec(d, spec, ropt)
-			if err != nil {
-				t.Fatalf("%v/%s reference run: %v", d, spec.Name, err)
-			}
-
-			inst, core, gen, err := prepare(d, spec, opt)
-			if err != nil {
-				t.Fatalf("%v/%s prepare: %v", d, spec.Name, err)
-			}
-			m := machine.New([]*cpu.Core{core}, []cpu.Stream{gen}, nil)
-			cr := m.Run(opt.RunInstructions)
-			if uint64(cr.Cycles) != want.Cycles || cr.Instructions != want.Instructions {
-				t.Fatalf("%v/%s: machine arm %d cycles / %d instrs, legacy %d / %d",
-					d, spec.Name, cr.Cycles, cr.Instructions, want.Cycles, want.Instructions)
-			}
-			if got := inst.Metrics().Snapshot(cr.Cycles); !reflect.DeepEqual(got, ref) {
-				for i := range got {
-					if i < len(ref) && got[i] != ref[i] {
-						t.Errorf("%v/%s: metric %q: %+v != %+v", d, spec.Name, got[i].Name, got[i], ref[i])
-					}
-				}
-				t.Fatalf("%v/%s: registry snapshots differ", d, spec.Name)
-			}
-		}
-	}
 }
 
 // TestCMPRunAllDesigns drives a 2-core migratory run through every design:
@@ -158,8 +117,9 @@ func TestCMPOptionsValidation(t *testing.T) {
 		if _, err := RunSpec(d, spec, c.opt); err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("RunSpec(%+v) error = %v, want mention of %q", c.opt, err, c.frag)
 		}
-		if _, err := RunSpecSampled(d, spec, Options{SampleIntervals: 2, SampleLength: 1000, Cores: c.opt.Cores, Sharing: c.opt.Sharing}); err == nil {
-			t.Errorf("RunSpecSampled(%+v) accepted invalid CMP options", c.opt)
+		sampled := Options{RunInstructions: 100_000, SampleIntervals: 2, SampleLength: 1000, Cores: c.opt.Cores, Sharing: c.opt.Sharing}
+		if _, err := RunSpecSampled(d, spec, sampled); err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("RunSpecSampled(%+v) error = %v, want mention of %q", sampled, err, c.frag)
 		}
 	}
 }
@@ -263,16 +223,27 @@ func TestCMPCheckpointRoundTrip(t *testing.T) {
 // CMP checkpoint never restores into a single-core run, and a checkpoint
 // from a machine of another width misses.
 func TestCMPCheckpointProvenance(t *testing.T) {
-	if restoreCheckpoint(snapshot.Checkpoint{CMP: &snapshot.CMPCheckpoint{}}, nil, nil, nil) {
+	d, spec := Designs()[0], workload.Specs()[1]
+	opt := cmpOptions()
+	one := newRig(d, spec, opt, opt.Seed)
+	two := newRig(d, spec, withCores(opt, 2), opt.Seed)
+	oneCkp, _ := one.checkpoint()
+	twoCkp, _ := two.checkpoint()
+	if !one.restore(oneCkp) || !two.restore(twoCkp) {
+		t.Fatal("a machine refused its own checkpoint")
+	}
+	// A one-core machine's state dressed as a one-core CMP checkpoint.
+	asCMP := oneCkp
+	asCMP.CMP = &snapshot.CMPCheckpoint{Cores: []cpu.State{oneCkp.Core}, Gens: []workload.CMPState{{Gen: oneCkp.Gen}}}
+	if one.restore(asCMP) {
 		t.Fatal("single-core restore accepted a CMP checkpoint")
 	}
-	twoCores := make([]*cpu.Core, 2)
-	twoGens := make([]*workload.CMPStream, 2)
-	if restoreCMPCheckpoint(snapshot.Checkpoint{}, twoCores, nil, twoGens, nil) {
+	if two.restore(oneCkp) {
 		t.Fatal("CMP restore accepted a single-core checkpoint (nil CMP)")
 	}
-	narrow := &snapshot.CMPCheckpoint{Cores: make([]cpu.State, 1), Gens: make([]workload.CMPState, 1)}
-	if restoreCMPCheckpoint(snapshot.Checkpoint{CMP: narrow}, twoCores, nil, twoGens, nil) {
+	narrow := twoCkp
+	narrow.CMP = &snapshot.CMPCheckpoint{Cores: twoCkp.CMP.Cores[:1], Gens: twoCkp.CMP.Gens[:1], Dir: twoCkp.CMP.Dir}
+	if two.restore(narrow) {
 		t.Fatal("CMP restore accepted a checkpoint of another core count")
 	}
 }

@@ -143,7 +143,7 @@ func TestConfigHashSliceBoundaries(t *testing.T) {
 	b.Mesh.VertReqLat = []sim.Time{1, 2}
 	b.Mesh.VertRespLat = []sim.Time{3, 4, 5}
 
-	cm := singleCoreCMP()
+	cm := Options{}.cmpConfig()
 	ha := configHashOf(d, sys, spec, a, tp, cm, FidelityFull)
 	hb := configHashOf(d, sys, spec, b, tp, cm, FidelityFull)
 	if ha == hb {
@@ -161,7 +161,7 @@ func TestConfigHashDistinctPerDesign(t *testing.T) {
 	}
 	hashes := map[string]Design{}
 	for _, d := range Designs() {
-		h := configHash(d, spec, singleCoreCMP(), FidelityFull)
+		h := configHash(d, spec, Options{}.cmpConfig(), FidelityFull)
 		if prev, ok := hashes[h]; ok {
 			t.Errorf("designs %v and %v share config hash %s", prev, d, h)
 		}

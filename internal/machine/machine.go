@@ -18,10 +18,11 @@ const quantum = 4096
 // parallel issue. It implements sample.Target, so sampled CMP runs reuse
 // the interval math unchanged.
 //
-// A 1-core Machine built with a nil Shared layer degenerates to exactly
-// the legacy path: Warm is one core.Warm call and each Interval is one
+// A 1-core Machine built with a nil Shared layer is exactly one core over
+// its stream: Warm is one core.Warm call and each Interval is one
 // RunFrom/Resume call, the same call sequence (hence bit-identical state
-// and timing) as driving the core directly.
+// and timing) as driving the core directly. Every single-core run is this
+// machine.
 type Machine struct {
 	cores   []*cpu.Core
 	streams []cpu.Stream
@@ -36,9 +37,9 @@ type Machine struct {
 }
 
 // New assembles a machine. shared must be non-nil exactly when there are
-// two or more cores (the single-core machine bypasses the CMP layers
-// entirely); the caller has already built each core over shared.Port(i)
-// and called Attach.
+// two or more cores (a one-core machine has no CMP layers: its core is
+// built over the L2 design itself); the caller has already built each
+// core over shared.Port(i) and called Attach.
 func New(cores []*cpu.Core, streams []cpu.Stream, shared *Shared) *Machine {
 	if len(cores) == 0 || len(cores) != len(streams) {
 		panic("machine: need one stream per core")

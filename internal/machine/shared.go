@@ -5,10 +5,11 @@
 // NOC injection ports and a controller frontier that arbitrates the
 // interleaved request streams onto the design's monotone-time calendars.
 //
-// The N=1 wiring deliberately bypasses everything in shared.go: a
-// single-core Machine is built with no Shared layer, its core driving the
-// instrumented L2 directly, so the one-core case stays bit-identical to
-// the pre-CMP path (TestCMPSingleCoreEquivalence pins this).
+// A one-core Machine has no Shared layer: its core drives the
+// instrumented L2 directly, so the one-core machine every single-core run
+// uses makes exactly the calls the paper's single-core processor model
+// does (TestSingleCoreMachineMatchesCore and the root package's
+// TestCMPSingleCoreEquivalence pin this).
 package machine
 
 import (

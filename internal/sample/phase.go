@@ -66,7 +66,11 @@ type Profile struct {
 
 // Check validates a (possibly fetched) profile against the run it is about
 // to steer. A mismatch means the profile came from a different
-// configuration or format era and must be recomputed.
+// configuration or format era, or was corrupted on disk or on the wire,
+// and must be recomputed. A profile that passes is safe to execute: every
+// row has cpu.FeatCols finite features, the windows split total exactly as
+// WindowLengths does, each representative belongs to its own cluster, and
+// each cluster's weight is the instruction count of its windows.
 func (p Profile) Check(total uint64, opt Options) error {
 	if p.Version != ProfileFormat {
 		return fmt.Errorf("sample: profile version %d, want %d", p.Version, ProfileFormat)
@@ -78,7 +82,7 @@ func (p Profile) Check(total uint64, opt Options) error {
 		return fmt.Errorf("sample: profile shape %d windows/%d clusters, options want %d/%d",
 			p.Windows, p.Clusters, opt.PhaseWindows, opt.PhaseClusters)
 	}
-	if len(p.Features) != p.Windows || len(p.Instr) != p.Windows || len(p.Assign) != p.Windows {
+	if p.Windows <= 0 || len(p.Features) != p.Windows || len(p.Instr) != p.Windows || len(p.Assign) != p.Windows {
 		return fmt.Errorf("sample: profile arrays sized %d/%d/%d, want %d windows",
 			len(p.Features), len(p.Instr), len(p.Assign), p.Windows)
 	}
@@ -96,6 +100,33 @@ func (p Profile) Check(total uint64, opt Options) error {
 	for w, k := range p.Assign {
 		if k < 0 || k >= len(p.Reps) {
 			return fmt.Errorf("sample: window %d assigned to cluster %d of %d", w, k, len(p.Reps))
+		}
+	}
+	for k, w := range p.Reps {
+		if p.Assign[w] != k {
+			return fmt.Errorf("sample: representative %d of cluster %d is assigned to cluster %d", w, k, p.Assign[w])
+		}
+	}
+	weights := make([]uint64, len(p.Reps))
+	for w, n := range WindowLengths(total, p.Windows) {
+		if p.Instr[w] != n {
+			return fmt.Errorf("sample: window %d holds %d instructions, want %d", w, p.Instr[w], n)
+		}
+		weights[p.Assign[w]] += n
+	}
+	for k, wt := range weights {
+		if p.Weights[k] != wt {
+			return fmt.Errorf("sample: cluster %d weighs %d instructions, its windows hold %d", k, p.Weights[k], wt)
+		}
+	}
+	for w, row := range p.Features {
+		if len(row) != cpu.FeatCols {
+			return fmt.Errorf("sample: window %d has %d feature columns, want %d", w, len(row), cpu.FeatCols)
+		}
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("sample: window %d has a non-finite feature %v", w, v)
+			}
 		}
 	}
 	return nil
@@ -399,12 +430,6 @@ func meanOf(points [][]float64, idx []int) []float64 {
 		m[j] /= float64(len(idx))
 	}
 	return m
-}
-
-// RunPhasedCore executes a phase-sampled measurement on a warmed core, the
-// phase-mode counterpart of Run.
-func RunPhasedCore(core *cpu.Core, s cpu.Stream, total uint64, opt Options, p Profile, observe func(Interval)) Estimate {
-	return RunPhased(coreTarget{core, s}, total, opt, p, observe)
 }
 
 // RunPhased executes a phase-sampled measurement of total instructions on

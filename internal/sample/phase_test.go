@@ -259,3 +259,54 @@ func TestRunPhasedTimesRepresentativesOnly(t *testing.T) {
 		t.Errorf("bad CI %v", est.CyclesCI())
 	}
 }
+
+// TestProfileCheckRejectsUnrunnable: a profile whose shape fields all
+// agree with the run but which RunPhased or the phase calibration cannot
+// execute must fail Check, so a disk file or a fleet peer serving one
+// costs a recompute instead of a panic. Empty feature rows used to pass
+// Check and panic phaseCI with index -1.
+func TestProfileCheckRejectsUnrunnable(t *testing.T) {
+	const total = 10
+	opt := Options{PhaseWindows: 2, PhaseClusters: 2}
+	row := func() []float64 { return []float64{0.3, 0.2, 0.01, 0.001, 1.5} }
+	base := func() Profile {
+		return Profile{
+			Version: ProfileFormat, Key: "k", Total: total, Windows: 2, Clusters: 2,
+			Features: [][]float64{row(), row()},
+			Instr:    []uint64{5, 5},
+			Assign:   []int{0, 0},
+			Reps:     []int{0},
+			Weights:  []uint64{10},
+		}
+	}
+	good := base()
+	if err := good.Check(total, opt); err != nil {
+		t.Fatalf("Check rejects a runnable profile: %v", err)
+	}
+	RunPhased(&scriptedTarget{cpis: []float64{1, 2}}, total, opt, good, nil)
+
+	cases := []struct {
+		name   string
+		mutate func(p *Profile)
+	}{
+		{"empty feature rows", func(p *Profile) { p.Features = [][]float64{{}, {}} }},
+		{"short feature row", func(p *Profile) { p.Features[1] = p.Features[1][:cpu.FeatL1MissRate] }},
+		{"long feature row", func(p *Profile) { p.Features[0] = append(p.Features[0], 0) }},
+		{"NaN feature", func(p *Profile) { p.Features[0][cpu.FeatCPIProxy] = math.NaN() }},
+		{"infinite feature", func(p *Profile) { p.Features[1][cpu.FeatL1MissRate] = math.Inf(1) }},
+		{"windows do not split the run", func(p *Profile) { p.Instr = []uint64{4, 6} }},
+		{"representative outside its cluster", func(p *Profile) {
+			p.Reps, p.Assign, p.Weights = []int{0, 1}, []int{1, 0}, []uint64{5, 5}
+		}},
+		{"weight is not its windows' instructions", func(p *Profile) { p.Weights = []uint64{9} }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := base()
+			c.mutate(&p)
+			if err := p.Check(total, opt); err == nil {
+				t.Error("Check accepted a profile RunPhased cannot run")
+			}
+		})
+	}
+}

@@ -175,58 +175,34 @@ func (e *Estimate) CyclesCI() float64 {
 
 // Target is what a sampled measurement drives: anything that can advance
 // its instruction stream functionally (Warm) and time a detailed interval
-// (Interval). A single core over its stream is the canonical target; an
-// N-core machine implements the same contract by advancing every core and
-// reporting the machine-wide result (Cycles = the latest core's clock).
+// (Interval). machine.Machine is the target runs use: it advances every
+// core and reports the machine-wide result (Cycles = the latest core's
+// clock), and with one core it is exactly one cpu.Core over its stream.
 // Interval i == 0 starts the timing epoch at cycle zero; later intervals
-// resume it, keeping the simulated clock monotone as the L2 designs
-// require.
+// resume it rather than restarting the pipeline, keeping the simulated
+// clock monotone as the L2 designs require and keeping per-interval
+// pipeline refill and drain out of the measured CPI.
 type Target interface {
 	Warm(n uint64)
 	Interval(i int, n uint64) cpu.Result
 }
 
-// coreTarget adapts the single-core (core, stream) pair to Target,
-// preserving the exact call sequence sampled runs have always made.
-type coreTarget struct {
-	core *cpu.Core
-	s    cpu.Stream
-}
-
-func (t coreTarget) Warm(n uint64) { t.core.Warm(t.s, n) }
-
-func (t coreTarget) Interval(i int, n uint64) cpu.Result {
-	if i == 0 {
-		return t.core.RunFrom(t.s, n, 0)
-	}
-	// Later intervals resume the pipeline rather than restarting it: the
-	// measured CPI then carries no per-interval pipeline-refill/drain
-	// transient, which would otherwise bias the estimate up by a fixed
-	// cost per interval.
-	return t.core.Resume(t.s, n)
-}
-
-// Run executes a sampled measurement of total instructions on a warmed
-// core: per interval, a functional fast-forward stretch followed by
-// opt.Length detailed instructions. The stream advances exactly total
-// instructions. observe, if non-nil, is called after each detailed
-// interval. Options must have been validated.
+// RunTarget executes a sampled measurement of total instructions on a
+// warmed target: per interval, a functional fast-forward stretch followed
+// by opt.Length detailed instructions. Total and Length count instructions
+// per stream (per core, for a machine target); the streams advance exactly
+// total instructions. CPI observations are target cycles per per-stream
+// instruction, so the estimate's Cycles() projects the target's clock —
+// for an N-core machine, the whole machine's finish time — over the full
+// run. observe, if non-nil, is called after each detailed interval.
+// Options must have been validated.
 //
-// Both phases ride the batched delivery protocol: the fast-forward
-// stretches take cpu.Core.Warm's MemStream fast path (non-memory
-// instructions skipped as run-length counts, bulk L2 installs), and the
-// detailed intervals consume cpu.BatchStream batches. Streams that
-// implement neither fall back to scalar Next delivery with identical
-// results.
-func Run(core *cpu.Core, s cpu.Stream, total uint64, opt Options, observe func(Interval)) Estimate {
-	return RunTarget(coreTarget{core, s}, total, opt, observe)
-}
-
-// RunTarget is Run over any Target. Total and Length count instructions
-// per stream (per core, for a machine target); CPI observations are
-// target cycles per per-stream instruction, so the estimate's Cycles()
-// projects the target's clock — for an N-core machine, the whole
-// machine's finish time — over the full run.
+// On a machine, both phases ride the batched delivery protocol: the
+// fast-forward stretches take cpu.Core.Warm's MemStream fast path
+// (non-memory instructions skipped as run-length counts, bulk L2
+// installs), and the detailed intervals consume cpu.BatchStream batches.
+// Streams that implement neither fall back to scalar Next delivery with
+// identical results.
 func RunTarget(t Target, total uint64, opt Options, observe func(Interval)) Estimate {
 	n := uint64(opt.Intervals)
 	detailed := n * opt.Length

@@ -7,6 +7,7 @@ import (
 	"tlc/internal/config"
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
+	"tlc/internal/machine"
 	"tlc/internal/mem"
 	"tlc/internal/sim"
 	"tlc/internal/workload"
@@ -23,6 +24,11 @@ func (f *fixedL2) Access(at sim.Time, req mem.Request) l2.Outcome {
 }
 func (f *fixedL2) Warm(mem.Block)          {}
 func (f *fixedL2) Contains(mem.Block) bool { return true }
+
+// oneCore is the one-core machine over core and s that sampled runs drive.
+func oneCore(core *cpu.Core, s cpu.Stream) *machine.Machine {
+	return machine.New([]*cpu.Core{core}, []cpu.Stream{s}, nil)
+}
 
 func TestValidate(t *testing.T) {
 	cases := []struct {
@@ -60,7 +66,7 @@ func TestRunAdvancesStreamExactlyTotal(t *testing.T) {
 	g1 := workload.New(spec, 1)
 	g2 := workload.New(spec, 1)
 	core := cpu.New(config.DefaultSystem(), &fixedL2{lat: 13})
-	Run(core, g1, total, opt, nil)
+	RunTarget(oneCore(core, g1), total, opt, nil)
 	for i := 0; i < total; i++ {
 		g2.Next()
 	}
@@ -76,7 +82,7 @@ func TestRunIntervalsAreContiguousAndObserved(t *testing.T) {
 	g := workload.New(spec, 2)
 	var seen []Interval
 	var lastFinish sim.Time
-	est := Run(core, g, 100_000, opt, func(iv Interval) {
+	est := RunTarget(oneCore(core, g), 100_000, opt, func(iv Interval) {
 		if iv.Result.Cycles-iv.Cycles != lastFinish {
 			t.Fatalf("interval %d started at %d, previous finished at %d",
 				iv.Index, iv.Result.Cycles-iv.Cycles, lastFinish)
@@ -107,7 +113,7 @@ func TestEstimateScalesCPIToTotal(t *testing.T) {
 	sampled := cpu.New(config.DefaultSystem(), &fixedL2{lat: 13})
 	sg := workload.New(spec, 3)
 	sampled.Warm(sg, 100_000)
-	est := Run(sampled, sg, total, Options{Intervals: 10, Length: 4_000}, nil)
+	est := RunTarget(oneCore(sampled, sg), total, Options{Intervals: 10, Length: 4_000}, nil)
 
 	full := cpu.New(config.DefaultSystem(), &fixedL2{lat: 13})
 	fg := workload.New(spec, 3)
@@ -130,7 +136,7 @@ func TestRunIsDeterministic(t *testing.T) {
 		core := cpu.New(config.DefaultSystem(), &fixedL2{lat: 21})
 		g := workload.New(spec, 9)
 		core.Warm(g, 50_000)
-		return Run(core, g, 150_000, opt, nil)
+		return RunTarget(oneCore(core, g), 150_000, opt, nil)
 	}
 	a, b := one(), one()
 	if a != b {

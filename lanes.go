@@ -62,10 +62,10 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 		return LaneStats{}, nil
 	}
 	if opt.cores() > 1 {
-		// Lane warming is a single-core accelerator: CMP runs warm N
-		// per-core streams (and seed a coherence directory) in prepareCMP;
-		// a shared single-stream pass has nothing bit-identical to offer
-		// them. No-op, like the other ineligible cases.
+		// Lane warming is a single-core accelerator: an N-core machine
+		// warms N per-core streams (and seeds a coherence directory) in
+		// prepare; a shared single-stream pass has nothing bit-identical
+		// to offer it. No-op, like the other ineligible cases.
 		return LaneStats{}, nil
 	}
 	warmSeed, warm := warmPlan(spec, opt)
@@ -78,7 +78,7 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 	seen := make(map[snapshot.Key]bool, len(designs))
 	lanes := make([]lane, 0, len(designs))
 	for _, d := range designs {
-		key := snapshot.Key{Config: configHash(d, spec, singleCoreCMP(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
+		key := snapshot.Key{Config: configHash(d, spec, opt.cmpConfig(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
 		if seen[key] {
 			continue
 		}

@@ -72,39 +72,18 @@ func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compu
 	return prof, false, nil
 }
 
-// computePhaseProfile runs the profiling pass over a prepared single-core
-// generator: save the stream state, drive every window through shadow
-// caches, rewind. The rewound generator is bit-identical to one that never
-// profiled (the counters it dirtied reset, matching prepare's contract
+// computePhaseProfile runs the profiling pass over a prepared machine's
+// streams: save every stream's position, advance each through every
+// window in its own shadow hierarchy (a private L1 and an uncontended
+// view of the L2), sum the features across cores, rewind. Window weights
+// are per-core instruction counts, matching RunPhased's per-core
+// accounting. The rewound streams are bit-identical to ones that never
+// profiled (the counters they dirtied reset, matching prepare's contract
 // that metrics cover only the timed interval).
-func computePhaseProfile(key string, gen *workload.Generator, opt Options) (sample.Profile, error) {
-	st := gen.State()
-	prof := cpu.NewPhaseProfiler(config.DefaultSystem())
-	lens := sample.WindowLengths(opt.RunInstructions, opt.PhaseWindows)
-	feats := make([][]float64, len(lens))
-	instr := make([]uint64, len(lens))
-	for w, n := range lens {
-		f := prof.Window(gen, n)
-		feats[w] = f.Vector()
-		instr[w] = f.Instr
-	}
-	gen.SetState(st)
-	gen.ResetCounters()
-	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr, opt.Cancel)
-}
-
-// computePhaseProfileCMP is the N-core profiling pass: every core's stream
-// advances through each window (its own shadow hierarchy — private L1 and
-// an uncontended view of the L2), features sum across cores, and window
-// weights stay per-core instruction counts to match RunTarget's per-core
-// accounting.
-func computePhaseProfileCMP(key string, gens []*workload.CMPStream, opt Options) (sample.Profile, error) {
-	states := make([]workload.CMPState, len(gens))
-	for i, g := range gens {
-		states[i] = g.State()
-	}
+func computePhaseProfile(key string, r *rig, opt Options) (sample.Profile, error) {
+	states := r.streamStates()
 	sys := config.DefaultSystem()
-	profs := make([]*cpu.PhaseProfiler, len(gens))
+	profs := make([]*cpu.PhaseProfiler, len(r.streams))
 	for i := range profs {
 		profs[i] = cpu.NewPhaseProfiler(sys)
 	}
@@ -113,15 +92,15 @@ func computePhaseProfileCMP(key string, gens []*workload.CMPStream, opt Options)
 	instr := make([]uint64, len(lens))
 	for w, n := range lens {
 		var f cpu.PhaseFeatures
-		for i, g := range gens {
-			f.Add(profs[i].Window(g, n))
+		for i, s := range r.streams {
+			f.Add(profs[i].Window(s, n))
 		}
 		feats[w] = f.Vector()
 		instr[w] = n
 	}
-	for i, g := range gens {
-		g.SetState(states[i])
-		g.ResetCounters()
+	r.setStreamStates(states)
+	for _, s := range r.streams {
+		s.ResetCounters()
 	}
 	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr, opt.Cancel)
 }
@@ -263,60 +242,47 @@ func calibratePhase(est *sample.Estimate, prof sample.Profile, obs *phaseObserve
 	est.Calibrate(prof, cal)
 }
 
-// runSpecPhased is RunSpecSampled's phase-mode arm: profile (or fetch) the
-// phase clustering, time one representative window per cluster, then
-// calibrate the cycle estimate against exact covariate totals.
-func runSpecPhased(d Design, spec workload.Spec, opt Options, sopt sample.Options) (SampledResult, error) {
-	inst, core, gen, err := prepare(d, spec, opt)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	prof, cached, err := phaseProfileFor(spec, opt, sopt, func(key string) (sample.Profile, error) {
-		return computePhaseProfile(key, gen, opt)
-	})
-	if err != nil {
-		return SampledResult{}, fmt.Errorf("tlc: %v %s phase profiling cancelled: %w", d, spec.Name, err)
-	}
-	reg := inst.Metrics()
-	registerPhaseMetrics(reg, prof, cached)
-	obs, observe := newPhaseObserver(reg, inst, prof)
-	// Count functional L2 misses across the timed region's warm stretches;
-	// added to the detailed counter they give the region's exact miss total.
-	core.SetWarmMissCounting(true)
-	warmBase := core.WarmL2Misses()
-	est := sample.RunPhasedCore(core, gen, opt.RunInstructions, sopt, prof, observe)
-	if err := core.CancelErr(); err != nil {
-		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
-	}
-	totL2 := float64(reg.CounterValue("l2.misses")) + float64(core.WarmL2Misses()-warmBase)
-	calibratePhase(&est, prof, obs, totL2, float64(reg.CounterValue("workload.mispredicts")))
-	return assemblePhased(d, spec, opt, inst, est, obs, 1)
-}
-
-// runSpecCMPPhased is the N-core arm: the machine implements
-// sample.Target, so profile computation (per-core streams) and weighted
-// interval execution share all the single-core machinery. RunInstructions
-// and SampleLength count instructions per core, exactly like uniform CMP
+// runPhased runs phase mode: profile (or fetch) the phase
+// clustering, time one representative window per cluster on the machine,
+// and on one core calibrate the cycle estimate against exact covariate
+// totals. RunInstructions counts instructions per core, as in uniform
 // sampling.
-func runSpecCMPPhased(d Design, spec workload.Spec, opt Options, sopt sample.Options) (SampledResult, error) {
-	inst, m, gens, err := prepareCMP(d, spec, opt)
+func runPhased(d Design, spec workload.Spec, opt Options, sopt sample.Options) (SampledResult, error) {
+	r, err := prepare(d, spec, opt)
 	if err != nil {
 		return SampledResult{}, err
 	}
 	prof, cached, err := phaseProfileFor(spec, opt, sopt, func(key string) (sample.Profile, error) {
-		return computePhaseProfileCMP(key, gens, opt)
+		return computePhaseProfile(key, r, opt)
 	})
 	if err != nil {
 		return SampledResult{}, fmt.Errorf("tlc: %v %s phase profiling cancelled: %w", d, spec.Name, err)
 	}
-	reg := inst.Metrics()
+	reg := r.inst.Metrics()
 	registerPhaseMetrics(reg, prof, cached)
-	obs, observe := newPhaseObserver(reg, inst, prof)
-	est := sample.RunPhased(m, opt.RunInstructions, sopt, prof, observe)
-	if err := m.CancelErr(); err != nil {
+	obs, observe := newPhaseObserver(reg, r.inst, prof)
+	// GREG calibration is single-core only: its covariate totals are exact
+	// only when the profile's shadow L1 sees what the run's L1 sees, and on
+	// N cores coherence invalidations make the run's L1 miss where the
+	// per-core shadow hits.
+	calibrate := len(r.cores) == 1
+	var warmBase uint64
+	if calibrate {
+		// Count functional L2 misses across the timed region's warm
+		// stretches; added to the detailed counter they give the region's
+		// exact miss total.
+		r.cores[0].SetWarmMissCounting(true)
+		warmBase = r.cores[0].WarmL2Misses()
+	}
+	est := sample.RunPhased(r.m, opt.RunInstructions, sopt, prof, observe)
+	if err := r.m.CancelErr(); err != nil {
 		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
 	}
-	return assemblePhased(d, spec, opt, inst, est, obs, uint64(opt.cores()))
+	if calibrate {
+		totL2 := float64(reg.CounterValue("l2.misses")) + float64(r.cores[0].WarmL2Misses()-warmBase)
+		calibratePhase(&est, prof, obs, totL2, float64(reg.CounterValue("workload.mispredicts")))
+	}
+	return assemblePhased(d, spec, opt, r.inst, est, obs, uint64(len(r.cores)))
 }
 
 // assemblePhased turns a phased estimate into a SampledResult. Registry

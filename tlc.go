@@ -27,6 +27,7 @@ import (
 	"tlc/internal/cpu"
 	"tlc/internal/dram"
 	"tlc/internal/l2"
+	"tlc/internal/machine"
 	"tlc/internal/metrics"
 	"tlc/internal/noc"
 	"tlc/internal/nuca"
@@ -96,12 +97,13 @@ type Options struct {
 	// runs: Validate rejects Fidelity=fast with Cores > 1.
 	Fidelity string
 
-	// Cores is the CMP core count. Zero or one runs the single-core
-	// machine — bit-identical to the pre-CMP path, same cycles and same
-	// metrics registry. 2..64 runs N cores as NOC peers over the shared
-	// L2 design, with private L1s kept coherent by an MSI directory;
-	// per-core counters appear under "core.<i>." alongside the aggregate
-	// names, and coherence traffic under "coh.".
+	// Cores is the CMP core count. Zero or one runs the one-core machine:
+	// one core driving the L2 design directly, with the same cycles and
+	// the same metrics registry as before the CMP axis existed. 2..64
+	// runs N cores as NOC peers over the shared L2 design, with private
+	// L1s kept coherent by an MSI directory; per-core counters appear
+	// under "core.<i>." alongside the aggregate names, and coherence
+	// traffic under "coh.".
 	Cores int
 	// Sharing shapes how the cores' streams relate (CMP runs only): the
 	// zero value stripes each core's private copy of the benchmark across
@@ -280,9 +282,6 @@ func (o Options) cmpConfig() CMPConfig {
 	}
 	return CMPConfig{Cores: n, Protocol: "MSI", Sharing: o.Sharing.Normalize()}
 }
-
-// singleCoreCMP is the CMP axis of every pre-CMP run.
-func singleCoreCMP() CMPConfig { return CMPConfig{Cores: 1} }
 
 // Validate checks the options for configurations a run would reject: a
 // zero timed length, a bit-error rate outside [0, 1), the CMP axis (a
@@ -747,35 +746,93 @@ func SummarizeSeeds(vals []float64) SeedStats {
 	return st
 }
 
-// prepare builds the machine for a run and brings it to measured-interval
-// start: post-warm cache state with the generator positioned (and seeded)
-// for the timed stream. Warm-up restores from opt.Checkpoints when
-// possible, re-executing (and storing the result) otherwise. A non-nil
-// error means opt.Cancel aborted the warm-up; the half-warm machine is
-// discarded, never checkpointed.
-func prepare(d Design, spec workload.Spec, opt Options) (l2.Instrumented, *cpu.Core, *workload.Generator, error) {
-	sys := config.DefaultSystem()
-	inst := build(d, opt)
-	warmSeed, warm := warmPlan(spec, opt)
-	gen := workload.New(spec, warmSeed)
-	core := cpu.New(sys, inst)
-	core.SetFast(opt.fidelity() == FidelityFast)
-	core.SetCancel(opt.Cancel)
-	// The design's registry becomes the run's: the core and the generator
-	// publish alongside the cache layers.
-	core.RegisterMetrics(inst.Metrics())
-	gen.RegisterMetrics(inst.Metrics())
+// rig is one run's simulated machine: the L2 design under test and
+// opt.cores() cores over it, each with its own workload stream. One core
+// drives the design directly through a workload.Generator — the paper's
+// Table 3 processor. N cores are peers over a machine.Shared layer
+// (per-core NOC injection ports, a controller frontier arbitrating their
+// interleaved miss streams onto the design's calendars, an MSI directory
+// keeping the private L1s coherent), each with a workload.CMPStream.
+type rig struct {
+	inst    l2.Instrumented
+	m       *machine.Machine
+	cores   []*cpu.Core
+	streams []stream
+}
 
-	key := snapshot.Key{Config: configHash(d, spec, singleCoreCMP(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
+// stream is what the pipeline needs of a core's workload stream beyond
+// cpu.Stream; *workload.Generator and *workload.CMPStream provide it.
+type stream interface {
+	cpu.Stream
+	PreWarm(c l2.Cache)
+	Reseed(seed int64)
+	ResetCounters()
+}
+
+// newRig builds a run's machine with every stream at the start of its
+// warm-up stream (seed warmSeed). The design's registry becomes the run's:
+// one core publishes the plain names; N cores publish per-core sets under
+// "core.<i>.", their sums under the plain names the single-core tooling
+// reads, and coherence and arbitration under "coh." / "cmp.arb." /
+// "noc.port.".
+func newRig(d Design, spec workload.Spec, opt Options, warmSeed int64) *rig {
+	sys := config.DefaultSystem()
+	n := opt.cores()
+	inst := build(d, opt)
+	reg := inst.Metrics()
+	r := &rig{inst: inst, cores: make([]*cpu.Core, n), streams: make([]stream, n)}
+	var shd *machine.Shared
+	if n == 1 {
+		gen := workload.New(spec, warmSeed)
+		r.cores[0], r.streams[0] = cpu.New(sys, inst), gen
+		r.cores[0].RegisterMetrics(reg)
+		gen.RegisterMetrics(reg)
+	} else {
+		shd = machine.NewShared(inst, n)
+		gens := make([]*workload.CMPStream, n)
+		for i := range gens {
+			gens[i] = workload.NewCMPStream(spec, warmSeed, i, opt.Sharing)
+			r.cores[i], r.streams[i] = cpu.New(sys, shd.Port(i)), gens[i]
+		}
+		shd.Attach(r.cores)
+		for i, c := range r.cores {
+			prefix := fmt.Sprintf("core.%d.", i)
+			c.RegisterMetricsPrefixed(reg, prefix)
+			gens[i].RegisterMetricsPrefixed(reg, prefix)
+		}
+		cpu.RegisterMetricsSum(reg, r.cores)
+		workload.RegisterMetricsSum(reg, gens)
+		shd.RegisterMetrics(reg)
+	}
+	cs := make([]cpu.Stream, n)
+	for i, c := range r.cores {
+		c.SetFast(opt.fidelity() == FidelityFast)
+		c.SetCancel(opt.Cancel)
+		cs[i] = r.streams[i]
+	}
+	r.m = machine.New(r.cores, cs, shd)
+	return r
+}
+
+// prepare builds the machine for a run and brings it to measured-interval
+// start: post-warm caches (and, on N cores, a seeded coherence directory)
+// with every stream positioned and seeded for the timed interval. Warm-up
+// restores from opt.Checkpoints when possible, re-executing (and storing
+// the result) otherwise. A non-nil error means opt.Cancel aborted the
+// warm-up; the half-warm machine is discarded, never checkpointed.
+func prepare(d Design, spec workload.Spec, opt Options) (*rig, error) {
+	warmSeed, warm := warmPlan(spec, opt)
+	r := newRig(d, spec, opt, warmSeed)
+	key := snapshot.Key{Config: configHash(d, spec, opt.cmpConfig(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
 	restored := false
 	if opt.Checkpoints != nil {
 		if ckp, ok := opt.Checkpoints.Get(key); ok {
-			restored = restoreCheckpoint(ckp, core, inst, gen)
+			restored = r.restore(ckp)
 			if restored && ckp.Lanes {
 				// Provenance marker: this run skipped warm-up thanks to a
 				// lane-parallel pass. Registered only on lane-restored runs,
 				// so scalar and lane artifacts diff clean on shared names.
-				inst.Metrics().CounterFunc("sim.lanes.restored", func() uint64 { return 1 })
+				r.inst.Metrics().CounterFunc("sim.lanes.restored", func() uint64 { return 1 })
 			}
 		}
 	}
@@ -783,89 +840,146 @@ func prepare(d Design, spec workload.Spec, opt Options) (l2.Instrumented, *cpu.C
 		// Pre-warm installs the whole footprint so capacity state matches
 		// a long-running process, then the trace warm-up establishes
 		// recency and migration steady state.
-		gen.PreWarm(inst)
-		core.Warm(gen, warm)
-		if err := core.CancelErr(); err != nil {
+		for _, s := range r.streams {
+			s.PreWarm(r.inst)
+		}
+		r.m.Warm(warm)
+		if err := r.m.CancelErr(); err != nil {
 			// An aborted warm-up leaves the machine mid-stream: surface the
 			// cancellation and, critically, keep the half-warm state out of
 			// the checkpoint store.
-			return nil, nil, nil, fmt.Errorf("tlc: %v %s warm-up cancelled: %w", d, spec.Name, err)
+			return nil, fmt.Errorf("tlc: %v %s warm-up cancelled: %w", d, spec.Name, err)
 		}
 		if opt.Checkpoints != nil {
-			if snap, ok := inst.(l2.Snapshotter); ok {
-				opt.Checkpoints.Put(key, snapshot.Checkpoint{
-					Core: core.Snapshot(),
-					L2:   snap.SnapshotState(),
-					Gen:  gen.State(),
-				})
+			if ckp, ok := r.checkpoint(); ok {
+				opt.Checkpoints.Put(key, ckp)
 			}
 		}
 	}
-	if opt.Seed != warmSeed {
-		// The timed interval measures its own stream: decorrelate it from
-		// the (shared) warm-up stream.
-		gen.Reseed(opt.Seed)
+	for _, s := range r.streams {
+		if opt.Seed != warmSeed {
+			// The timed interval measures its own stream: decorrelate it
+			// from the (shared) warm-up stream.
+			s.Reseed(opt.Seed)
+		}
+		// The stream counters, like every other metric, cover only the
+		// timed interval — whether warm-up ran or a checkpoint skipped it.
+		s.ResetCounters()
 	}
-	// The generator's counters, like every other metric, cover only the
-	// timed interval — whether warm-up ran or a checkpoint skipped it.
-	gen.ResetCounters()
-	return inst, core, gen, nil
+	return r, nil
 }
 
-// restoreCheckpoint applies a stored checkpoint; a false return (type or
-// geometry mismatch, e.g. a stale disk entry) falls back to re-warming.
-func restoreCheckpoint(ckp snapshot.Checkpoint, core *cpu.Core, c l2.Cache, gen *workload.Generator) bool {
+// checkpoint captures the warmed machine; false means the design cannot
+// snapshot. One core fills Core, L2 and Gen. N cores also fill CMP with
+// every core, every stream and the directory; core 0's view rides in the
+// single-core fields so the envelope stays coherent to older readers.
+func (r *rig) checkpoint() (snapshot.Checkpoint, bool) {
+	snap, ok := r.inst.(l2.Snapshotter)
+	if !ok {
+		return snapshot.Checkpoint{}, false
+	}
+	cs := make([]cpu.State, len(r.cores))
+	for i, c := range r.cores {
+		cs[i] = c.Snapshot()
+	}
+	gs := r.streamStates()
+	ckp := snapshot.Checkpoint{Core: cs[0], L2: snap.SnapshotState(), Gen: gs[0].Gen}
+	if shd := r.m.Shared(); shd != nil {
+		ckp.CMP = &snapshot.CMPCheckpoint{Cores: cs, Gens: gs, Dir: shd.DirectorySnapshot()}
+	}
+	return ckp, true
+}
+
+// restore applies a stored checkpoint; a false return falls back to
+// re-warming. CMP is the provenance flag: a checkpoint carries it exactly
+// when an N-core machine wrote it, so neither kind restores into the
+// other, and an N-core checkpoint restores only into a machine of its
+// width. A type or geometry mismatch (a stale disk entry, say) misses too.
+func (r *rig) restore(ckp snapshot.Checkpoint) bool {
+	cores, gens := []cpu.State{ckp.Core}, []workload.CMPState{{Gen: ckp.Gen}}
 	if ckp.CMP != nil {
-		// Provenance: a CMP machine's checkpoint never restores into a
-		// single-core run (the mirror of restoreCMPCheckpoint's nil check).
+		cores, gens = ckp.CMP.Cores, ckp.CMP.Gens
+	}
+	n := len(r.cores)
+	if (ckp.CMP != nil) != (n > 1) || len(cores) != n || len(gens) != n {
 		return false
 	}
-	snap, ok := c.(l2.Snapshotter)
+	snap, ok := r.inst.(l2.Snapshotter)
 	if !ok {
 		return false
 	}
-	if err := core.Restore(ckp.Core); err != nil {
-		return false
+	for i, c := range r.cores {
+		if err := c.Restore(cores[i]); err != nil {
+			return false
+		}
 	}
 	if err := snap.RestoreState(ckp.L2); err != nil {
 		return false
 	}
-	gen.SetState(ckp.Gen)
+	r.setStreamStates(gens)
+	if ckp.CMP != nil {
+		r.m.Shared().RestoreDirectory(ckp.CMP.Dir)
+	}
 	return true
 }
 
-// RunSpec simulates a custom workload spec on one design.
+// streamStates captures every stream's position in the checkpoint's CMP
+// form; a workload.Generator's position is the Gen field alone.
+func (r *rig) streamStates() []workload.CMPState {
+	st := make([]workload.CMPState, len(r.streams))
+	for i, s := range r.streams {
+		switch s := s.(type) {
+		case *workload.Generator:
+			st[i].Gen = s.State()
+		case *workload.CMPStream:
+			st[i] = s.State()
+		}
+	}
+	return st
+}
+
+// setStreamStates moves every stream to a position streamStates captured.
+func (r *rig) setStreamStates(st []workload.CMPState) {
+	for i, s := range r.streams {
+		switch s := s.(type) {
+		case *workload.Generator:
+			s.SetState(st[i].Gen)
+		case *workload.CMPStream:
+			s.SetState(st[i])
+		}
+	}
+}
+
+// RunSpec simulates a custom workload spec on one design. On N cores
+// (Options.Cores) RunInstructions counts per core, and the Result reports
+// machine-wide totals: Instructions summed over cores, Cycles the machine
+// finish time (the latest core's clock), IPC their ratio.
 func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
-	if err := opt.validateCMP(); err != nil {
-		return Result{}, err
-	}
-	if err := opt.validateFidelity(); err != nil {
-		return Result{}, err
-	}
-	if err := opt.validateRanges(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
 	if opt.sampledMode() {
-		sres, err := RunSpecSampled(d, spec, opt)
+		sopt := opt.SampleOptions()
+		if err := sopt.Validate(opt.RunInstructions); err != nil {
+			return Result{}, err
+		}
+		sres, err := runSampled(d, spec, opt, sopt)
 		return sres.Result, err
 	}
-	if opt.cores() > 1 {
-		return runSpecCMP(d, spec, opt)
-	}
-	inst, core, gen, err := prepare(d, spec, opt)
+	r, err := prepare(d, spec, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	cr := core.Run(gen, opt.RunInstructions)
-	if err := core.CancelErr(); err != nil {
+	cr := r.m.Run(opt.RunInstructions)
+	if err := r.m.CancelErr(); err != nil {
 		return Result{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
 	}
-	res := assemble(d, spec.Name, inst.Metrics(), cr.Instructions, cr.Cycles)
+	res := assemble(d, spec.Name, r.inst.Metrics(), cr.Instructions, cr.Cycles)
 	res.Instructions = cr.Instructions
 	res.Cycles = uint64(cr.Cycles)
 	res.IPC = cr.IPC()
 	attachErrorBound(&res, opt)
-	emitMetrics(d, spec.Name, inst, cr.Cycles, opt)
+	emitMetrics(d, spec.Name, r.inst, cr.Cycles, opt)
 	return res, nil
 }
 
@@ -953,39 +1067,37 @@ func RunSampled(d Design, benchmark string, opt Options) (SampledResult, error) 
 // RunSpecSampled simulates a custom workload spec on one design in sampled
 // mode: SampleIntervals detailed intervals of SampleLength instructions,
 // interleaved with functional fast-forwarding, standing in for a full
-// RunInstructions-long detailed run.
+// RunInstructions-long detailed run (or, in phase mode, one detailed
+// window per phase cluster; see phase.go).
 func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, error) {
 	sopt := opt.SampleOptions()
 	if err := sopt.Validate(opt.RunInstructions); err != nil {
 		return SampledResult{}, err
 	}
-	if err := opt.validateCMP(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return SampledResult{}, err
 	}
-	if err := opt.validateFidelity(); err != nil {
-		return SampledResult{}, err
-	}
-	if err := opt.validateRanges(); err != nil {
-		return SampledResult{}, err
-	}
+	return runSampled(d, spec, opt, sopt)
+}
+
+// runSampled runs validated sampled options. The machine is the
+// sample.Target, so RunInstructions and SampleLength count instructions
+// per core, per-interval CPI is machine cycles per per-core instruction,
+// and the registry-wide counter deltas normalize per 1K executed
+// instructions (all cores).
+func runSampled(d Design, spec workload.Spec, opt Options, sopt sample.Options) (SampledResult, error) {
 	if sopt.Phase() {
-		if opt.cores() > 1 {
-			return runSpecCMPPhased(d, spec, opt, sopt)
-		}
-		return runSpecPhased(d, spec, opt, sopt)
+		return runPhased(d, spec, opt, sopt)
 	}
-	if opt.cores() > 1 {
-		return runSpecCMPSampled(d, spec, opt)
-	}
-	inst, core, gen, err := prepare(d, spec, opt)
+	r, err := prepare(d, spec, opt)
 	if err != nil {
 		return SampledResult{}, err
 	}
-	reg := inst.Metrics()
+	reg := r.inst.Metrics()
 
 	// Per-interval L2 stat deltas feed the lookup-latency and miss-rate
 	// confidence intervals.
-	st := inst.L2Stats()
+	st := r.inst.L2Stats()
 	var lookup, missRate stats.Sample
 	var prevLookupSum, prevLookupCount, prevMisses uint64
 	// Generic per-counter deltas extend the CIs to every registered
@@ -996,7 +1108,7 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 	prevVals := make([]uint64, len(names))
 	curVals := make([]uint64, 0, len(names))
 	prevVals = reg.AppendCounterValues(prevVals[:0], names)
-	est := sample.Run(core, gen, opt.RunInstructions, sopt, func(iv sample.Interval) {
+	est := sample.RunTarget(r.m, opt.RunInstructions, sopt, func(iv sample.Interval) {
 		dSum := st.Lookup.Sum() - prevLookupSum
 		dCount := st.Lookup.Count() - prevLookupCount
 		dMiss := st.Misses.Value() - prevMisses
@@ -1012,7 +1124,7 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 		prevVals, curVals = curVals, prevVals
 	})
 
-	if err := core.CancelErr(); err != nil {
+	if err := r.m.CancelErr(); err != nil {
 		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
 	}
 	estCycles := est.Cycles()
@@ -1022,27 +1134,30 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 	// utilization integrate over the detailed window: the clock only
 	// advances during detailed intervals, so FinalClock is that window's
 	// span.
-	res := assemble(d, spec.Name, reg, est.Detailed, est.FinalClock)
-	res.Instructions = opt.RunInstructions
+	cores := uint64(len(r.cores))
+	totalInstr := opt.RunInstructions * cores
+	detailedTotal := est.Detailed * cores
+	res := assemble(d, spec.Name, reg, detailedTotal, est.FinalClock)
+	res.Instructions = totalInstr
 	res.Cycles = uint64(estCycles + 0.5)
-	res.L2Loads = scaleCount(res.L2Loads, opt.RunInstructions, est.Detailed)
-	res.L2Stores = scaleCount(res.L2Stores, opt.RunInstructions, est.Detailed)
+	res.L2Loads = scaleCount(res.L2Loads, totalInstr, detailedTotal)
+	res.L2Stores = scaleCount(res.L2Stores, totalInstr, detailedTotal)
 	if estCycles > 0 {
-		res.IPC = float64(opt.RunInstructions) / estCycles
+		res.IPC = float64(totalInstr) / estCycles
 	}
 	mcis := make([]MetricCI, len(names))
 	for i, n := range names {
 		mcis[i] = MetricCI{Name: n, MeanPer1K: counterSamples[i].Mean(), CI95: counterSamples[i].CI95()}
 	}
 	attachErrorBound(&res, opt)
-	emitMetrics(d, spec.Name, inst, est.FinalClock, opt)
+	emitMetrics(d, spec.Name, r.inst, est.FinalClock, opt)
 	return SampledResult{
 		Result:               res,
 		CyclesCI:             est.CyclesCI(),
 		MeanLookupCI:         lookup.CI95(),
 		MissesPer1KCI:        missRate.CI95(),
 		Intervals:            est.Intervals,
-		DetailedInstructions: est.Detailed,
+		DetailedInstructions: detailedTotal,
 		Metrics:              mcis,
 	}, nil
 }

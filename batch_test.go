@@ -12,13 +12,32 @@ import (
 	"tlc/internal/workload"
 )
 
-// scalarStream hides a stream's BatchStream/MemStream implementations, so
-// the core is forced down the scalar Next-per-instruction reference paths.
+// scalarStream delivers a generator's instructions through its scalar
+// Next alone: NextBatch and NextMems are built from one Next call per
+// instruction, so the core's kernels see the reference sequence rather
+// than the generator's native batched delivery.
 type scalarStream struct {
-	s cpu.Stream
+	g *workload.Generator
 }
 
-func (s scalarStream) Next() cpu.Instr { return s.s.Next() }
+func (s scalarStream) NextBatch(buf []cpu.Instr) int {
+	for i := range buf {
+		buf[i] = s.g.Next()
+	}
+	return len(buf)
+}
+
+func (s scalarStream) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {
+	for consumed < maxInstr && n < len(buf) {
+		in := s.g.Next()
+		consumed++
+		if in.IsMem {
+			buf[n] = cpu.MemRef{Block: in.Block, Store: in.IsStore}
+			n++
+		}
+	}
+	return n, consumed
+}
 
 // scalarCache hides a design's l2.Warmer implementation (embedding the
 // interface does not promote the concrete type's WarmBulk), forcing
@@ -28,7 +47,8 @@ type scalarCache struct {
 }
 
 // equivalencePoint runs one (design, benchmark) pair through PreWarm + Warm
-// + a detailed run, with either scalar-forced or batched delivery, and
+// + a detailed run, with either Next-driven delivery and per-block L2
+// installs or the generator's native batches and bulk installs, and
 // returns the run Result plus the post-run core and L2 snapshots.
 func equivalencePoint(t *testing.T, d Design, spec workload.Spec, scalar bool) (cpu.Result, cpu.State, l2.State) {
 	t.Helper()
@@ -39,7 +59,7 @@ func equivalencePoint(t *testing.T, d Design, spec workload.Spec, scalar bool) (
 	inst := build(d, Options{})
 	gen := workload.New(spec, 1)
 	var cacheArm l2.Cache = inst
-	var streamArm cpu.Stream = gen
+	var streamArm cpu.Source = gen
 	if scalar {
 		cacheArm = scalarCache{inst}
 		streamArm = scalarStream{gen}
@@ -55,11 +75,13 @@ func equivalencePoint(t *testing.T, d Design, spec workload.Spec, scalar bool) (
 	return r, core.Snapshot(), snap.SnapshotState()
 }
 
-// TestBatchedScalarEquivalence is the tentpole's correctness gate: for all
-// twelve benchmarks × all six designs, batched delivery (native NextBatch,
-// the MemStream warm fast path, fused TouchOrInsertAt, bulk WarmBulk
-// installs) produces the identical Result and bit-identical post-run L1 and
-// L2 state as scalar per-instruction delivery through the reference paths.
+// TestBatchedScalarEquivalence is the batched-delivery correctness gate: for
+// all twelve benchmarks × all six designs, the generator's native NextBatch
+// and NextMems fills with bulk WarmBulk installs produce the identical
+// Result and bit-identical post-run L1 and L2 state as the same kernels fed
+// one Next call per instruction with per-block L2 installs. The kernels
+// themselves are held to the per-instruction reference loops in
+// internal/cpu (TestWarmMatchesReference, TestRunMatchesReference).
 func TestBatchedScalarEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid; skipped in -short")
@@ -86,8 +108,8 @@ func TestBatchedScalarEquivalence(t *testing.T) {
 }
 
 // TestSampledBatchedEquivalence extends the gate to sampled mode: warm
-// stretches (the MemStream fast path) interleaved with detailed intervals
-// must leave estimates and machine state identical to scalar delivery.
+// stretches (NextMems fills) interleaved with detailed intervals must leave
+// estimates and machine state identical to Next-driven delivery.
 func TestSampledBatchedEquivalence(t *testing.T) {
 	benches := []string{"gcc", "equake", "oltp"}
 	opt := sample.Options{Intervals: 8, Length: 2000}
@@ -105,7 +127,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 					inst := build(d, Options{})
 					gen := workload.New(spec, 1)
 					var cacheArm l2.Cache = inst
-					var streamArm cpu.Stream = gen
+					var streamArm cpu.Source = gen
 					if scalar {
 						cacheArm = scalarCache{inst}
 						streamArm = scalarStream{gen}
@@ -113,7 +135,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 					core := cpu.New(config.DefaultSystem(), cacheArm)
 					gen.PreWarm(cacheArm)
 					core.Warm(streamArm, 100_000)
-					est := sample.RunTarget(machine.New([]*cpu.Core{core}, []cpu.Stream{streamArm}, nil), total, opt, nil)
+					est := sample.RunTarget(machine.New([]*cpu.Core{core}, []cpu.Source{streamArm}, nil), total, opt, nil)
 					return est, core.Snapshot(), inst.(l2.Snapshotter).SnapshotState()
 				}
 				sEst, sCore, sL2 := run(true)

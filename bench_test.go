@@ -269,15 +269,17 @@ func BenchmarkFullScaleFastSpeedup(b *testing.B) {
 }
 
 func BenchmarkWarmThroughput(b *testing.B) {
-	// The batched-delivery acceptance gate: the warm fast path (MemStream
-	// run-length skipping + fused L1 scan + bulk L2 installs) against the
-	// scalar reference loop, on identically prepared machines. Two workload
-	// profiles bound the gain: bzip's references stay in the L1-resident
-	// region (delivery-dominated, where fusion pays most), gcc spreads work
-	// across the skewed hot set and the TLC warm kernel. The benchmark
-	// doubles as a determinism smoke check: after the timed sections, the
-	// two cores and caches must hold bit-identical state, so CI's short
-	// -benchtime run fails loudly on any batched/scalar divergence.
+	// The batched-delivery acceptance gate: the warm kernel fed by the
+	// generator's native NextMems (run-length skipping inside the
+	// generator) against the same kernel fed one Next call per instruction
+	// (scalarStream), on identically prepared machines. The in-core scalar
+	// loop this once measured is gone; warm_ref_test.go keeps it as the
+	// kernel's oracle. Two workload profiles bound the gain: bzip's
+	// references stay in the L1-resident region (delivery-dominated), gcc
+	// spreads work across the skewed hot set and the TLC warm kernel. The
+	// benchmark doubles as a determinism smoke check: after the timed
+	// sections, the two cores and caches must hold bit-identical state, so
+	// CI's short -benchtime run fails loudly on any batched/Next divergence.
 	for _, name := range []string{"bzip", "gcc"} {
 		b.Run(name, func(b *testing.B) {
 			sys := config.DefaultSystem()
@@ -324,14 +326,14 @@ func BenchmarkWarmThroughput(b *testing.B) {
 
 // BenchmarkTimedThroughput is the timed-path counterpart of
 // BenchmarkWarmThroughput: machines restored from one checkpoint run the
-// bench-scale timed interval through the fused NextBatch kernel and, on a
-// twin restored from the same checkpoint, through the scalar Next reference
-// (scalarStream hides the batched protocol). One design per L2
-// implementation (nuca SNUCA, nuca DNUCA, tlcache) times three workload
-// shapes: gcc's skewed hot set, swim's streams, and oltp's sliding cold
-// window. It doubles as a determinism smoke check: the two arms must finish
-// on the same cycle and the same stream position, so CI's -benchtime 1x run
-// fails loudly on any batched/scalar drift.
+// bench-scale timed interval through the one timed kernel, fed by the
+// generator's native NextBatch fills and, on a twin restored from the same
+// checkpoint, by one Next call per instruction (scalarStream). One design
+// per L2 implementation (nuca SNUCA, nuca DNUCA, tlcache) times three
+// workload shapes: gcc's skewed hot set, swim's streams, and oltp's sliding
+// cold window. It doubles as a determinism smoke check: the two arms must
+// finish on the same cycle and the same stream position, so CI's
+// -benchtime 1x run fails loudly on any batched/Next drift.
 func BenchmarkTimedThroughput(b *testing.B) {
 	for _, d := range []Design{DesignSNUCA2, DesignDNUCA, DesignTLC} {
 		for _, name := range []string{"gcc", "swim", "oltp"} {

@@ -100,12 +100,12 @@ func Register() *Flags {
 // -sample/-samplelen select the uniform sampled interval plan, -phase (and
 // its shape knobs) the phase-aware one with a per-invocation profile store,
 // -cores/-sharing set the CMP axis, and -metrics chains a collector onto
-// OnMetrics (a hook
-// already present keeps firing after it). Apply may be called on several
-// Options values (one suite per memory model, say); all their runs collect
-// into the same dump. The returned error rejects impossible CMP flags — a
-// core count outside 1..64 or an unknown sharing pattern — with a one-line
-// message for the caller to print and exit on.
+// OnMetrics (a hook already present keeps firing after it). Apply may be
+// called on several Options values (one suite per memory model, say); all
+// their runs collect into the same dump. Every field is assigned first and
+// then checked once by tlc.Options.Validate, the one owner of the ranges;
+// the returned error is a one-line message for the caller to print and
+// exit on.
 func (f *Flags) Apply(opt *tlc.Options) error {
 	if f.Cores < 1 {
 		return fmt.Errorf("cliopt: -cores %d: need at least 1", f.Cores)
@@ -113,21 +113,14 @@ func (f *Flags) Apply(opt *tlc.Options) error {
 	opt.Cores = f.Cores
 	opt.Sharing = tlc.SharingSpec{Pattern: f.Sharing, SharedMB: f.SharedMB, SharedFrac: f.SharedFrac}
 	opt.Fidelity = f.Fidelity
-	if err := opt.Validate(); err != nil {
-		return err
-	}
 	if f.CkptDir != "" {
 		opt.Checkpoints = tlc.NewCheckpointStore(0, f.CkptDir)
-	}
-	phase := f.Phase || f.PhaseWindows > 0 || f.PhaseClusters > 0
-	if phase && f.Sample > 0 {
-		return fmt.Errorf("cliopt: -sample %d and -phase are mutually exclusive (uniform vs phase-aware sampling)", f.Sample)
 	}
 	if f.Sample > 0 {
 		opt.SampleIntervals = f.Sample
 		opt.SampleLength = f.Length
 	}
-	if phase {
+	if f.Phase || f.PhaseWindows != 0 || f.PhaseClusters != 0 {
 		opt.PhaseWindows = f.PhaseWindows
 		if opt.PhaseWindows == 0 {
 			opt.PhaseWindows = DefaultPhaseWindows
@@ -135,9 +128,6 @@ func (f *Flags) Apply(opt *tlc.Options) error {
 		opt.PhaseClusters = f.PhaseClusters
 		if opt.PhaseClusters == 0 {
 			opt.PhaseClusters = DefaultPhaseClusters
-		}
-		if opt.PhaseClusters > opt.PhaseWindows {
-			return fmt.Errorf("cliopt: -phase-clusters %d exceeds -phase-windows %d", opt.PhaseClusters, opt.PhaseWindows)
 		}
 		opt.SampleLength = f.Length
 		// One profile store per invocation: the profile is design-
@@ -157,7 +147,7 @@ func (f *Flags) Apply(opt *tlc.Options) error {
 			}
 		}
 	}
-	return nil
+	return opt.Validate()
 }
 
 // runMetricsJSON is the per-run shape of the -metrics dump.

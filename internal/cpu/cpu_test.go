@@ -30,6 +30,30 @@ func (f *fixedL2) Access(at sim.Time, req mem.Request) l2.Outcome {
 func (f *fixedL2) Warm(mem.Block)          {}
 func (f *fixedL2) Contains(mem.Block) bool { return true }
 
+// scalarStream is a Next-only test stream. fillBatch and fillMems give it
+// the Source contract one Next call at a time, so every test stream
+// delivers exactly the sequence its Next defines.
+type scalarStream interface{ Next() Instr }
+
+func fillBatch(s scalarStream, buf []Instr) int {
+	for i := range buf {
+		buf[i] = s.Next()
+	}
+	return len(buf)
+}
+
+func fillMems(s scalarStream, buf []MemRef, maxInstr uint64) (n int, consumed uint64) {
+	for consumed < maxInstr && n < len(buf) {
+		in := s.Next()
+		consumed++
+		if in.IsMem {
+			buf[n] = MemRef{Block: in.Block, Store: in.IsStore}
+			n++
+		}
+	}
+	return n, consumed
+}
+
 // listStream replays a fixed instruction slice.
 type listStream struct {
 	ins []Instr
@@ -40,6 +64,10 @@ func (s *listStream) Next() Instr {
 	in := s.ins[s.i%len(s.ins)]
 	s.i++
 	return in
+}
+func (s *listStream) NextBatch(buf []Instr) int { return fillBatch(s, buf) }
+func (s *listStream) NextMems(buf []MemRef, maxInstr uint64) (int, uint64) {
+	return fillMems(s, buf, maxInstr)
 }
 
 // pattern builds a loop of `period` instructions with one L2-missing load
@@ -71,8 +99,12 @@ func (u *uniqueLoads) Next() Instr {
 	u.addr += 997
 	return Instr{IsMem: true, Block: u.addr, Dep: u.dep}
 }
+func (u *uniqueLoads) NextBatch(buf []Instr) int { return fillBatch(u, buf) }
+func (u *uniqueLoads) NextMems(buf []MemRef, maxInstr uint64) (int, uint64) {
+	return fillMems(u, buf, maxInstr)
+}
 
-func run(t *testing.T, s Stream, l2c l2.Cache, n uint64) Result {
+func run(t *testing.T, s Source, l2c l2.Cache, n uint64) Result {
 	t.Helper()
 	core := New(config.DefaultSystem(), l2c)
 	return core.Run(s, n)
@@ -211,7 +243,7 @@ func TestBackToBackRunsAreIdentical(t *testing.T) {
 	// A small cyclic footprint that fits in the L1: warming it makes both
 	// timed runs all-hit, so identical instruction streams must produce
 	// identical timing once per-run state resets.
-	mk := func() Stream {
+	mk := func() Source {
 		var ins []Instr
 		for i := 0; i < 64; i++ {
 			ins = append(ins, Instr{IsMem: true, Block: mem.Block(i), Dep: i%8 == 0})
@@ -234,7 +266,7 @@ func TestRunMatchesFreshCore(t *testing.T) {
 	// A second run on a reused core must match a fresh core given the same
 	// architectural (cache) state — timing state is per-run, cache state is
 	// not.
-	stream := func() Stream { return &listStream{ins: []Instr{{IsMem: true, Block: 7}, {Dep: true}}} }
+	stream := func() Source { return &listStream{ins: []Instr{{IsMem: true, Block: 7}, {Dep: true}}} }
 	reused := New(config.DefaultSystem(), &fixedL2{lat: 13})
 	reused.Warm(stream(), 1_000)
 	reused.Run(stream(), 20_000)

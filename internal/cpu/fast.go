@@ -58,7 +58,7 @@ func (c *Core) l2Fast(at sim.Time, req mem.Request) l2.Outcome {
 // instead of simulating the pipeline. Epoch semantics match run exactly —
 // RunFrom starts the clock at base, Resume continues from lastRetire — so
 // sampled and phase-sampled execution compose unchanged.
-func (c *Core) runFast(s Stream, n uint64) Result {
+func (c *Core) runFast(s Source, n uint64) Result {
 	c.res = Result{Instructions: n}
 	if c.memBuf == nil {
 		c.memBuf = make([]MemRef, memBatch)
@@ -69,18 +69,11 @@ func (c *Core) runFast(s Stream, n uint64) Result {
 		mlp = 1
 	}
 	clock := c.lastRetire
-	ms, native := s.(MemStream)
 	for remaining := n; remaining > 0; {
 		if c.cancelled() {
 			break
 		}
-		var m int
-		var consumed uint64
-		if native {
-			m, consumed = ms.NextMems(c.memBuf, remaining)
-		} else {
-			m, consumed = nextMemsScalar(s, c.memBuf, remaining)
-		}
+		m, consumed := s.NextMems(c.memBuf, remaining)
 		if consumed == 0 {
 			panic("cpu: fast-tier stream made no progress")
 		}
@@ -163,23 +156,4 @@ func (c *Core) fastAccess(clock sim.Time, ref MemRef, mlp sim.Time) sim.Time {
 		clock = start
 	}
 	return clock + (out.CompleteAt-start)/mlp
-}
-
-// nextMemsScalar adapts a plain Stream to the NextMems contract for the
-// fast tier's compatibility floor: it advances up to maxInstr instructions
-// (stopping early when buf fills), writing only the memory operations.
-func nextMemsScalar(s Stream, buf []MemRef, maxInstr uint64) (n int, consumed uint64) {
-	for consumed < maxInstr {
-		in := s.Next()
-		consumed++
-		if !in.IsMem {
-			continue
-		}
-		buf[n] = MemRef{Block: in.Block, Store: in.IsStore}
-		n++
-		if n == len(buf) {
-			break
-		}
-	}
-	return n, consumed
 }

@@ -139,36 +139,19 @@ func intsEqual(a, b []int) bool {
 // member's L2 via the lane-bulk entry point. cancel, if non-nil, is polled
 // once per batch; a non-nil error abandons the pass and is returned with
 // the cores untouched (lane state is only stored back on completion).
-func (lw *LaneWarmer) Warm(s Stream, n uint64, cancel func() error) error {
+func (lw *LaneWarmer) Warm(s Source, n uint64, cancel func() error) error {
 	lw.planCohorts()
 	for si, li := range lw.leaders {
 		c := lw.cores[li]
 		lw.lanes.LoadLane(si, c.l1, c.dirty)
 	}
-	ms, fast := s.(MemStream)
 	for remaining := n; remaining > 0; {
 		if cancel != nil {
 			if err := cancel(); err != nil {
 				return err
 			}
 		}
-		var m int
-		var consumed uint64
-		if fast {
-			m, consumed = ms.NextMems(lw.memBuf, remaining)
-		} else {
-			// Scalar collection preserves the stream contract — identical
-			// instruction consumption and reference order, one batch's
-			// worth at a time.
-			for consumed < remaining && m < len(lw.memBuf) {
-				in := s.Next()
-				consumed++
-				if in.IsMem {
-					lw.memBuf[m] = MemRef{Block: in.Block, Store: in.IsStore}
-					m++
-				}
-			}
-		}
+		m, consumed := s.NextMems(lw.memBuf, remaining)
 		if consumed == 0 {
 			panic("cpu: warm stream made no progress")
 		}

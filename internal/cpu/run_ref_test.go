@@ -14,7 +14,7 @@ import (
 // with wrapping counters: every ring slot and the fetch cycle are divisions
 // of the epoch instruction index. It is the oracle TestRunMatchesReference
 // holds the counter-indexed loop to.
-func (c *Core) runReference(s Stream, n uint64) Result {
+func (c *Core) runReference(s scalarStream, n uint64) Result {
 	c.res = Result{Instructions: n}
 	rob := uint64(c.sys.ROBEntries)
 	sched := uint64(c.sys.SchedulerEntries)
@@ -81,6 +81,10 @@ func (s randStream) Next() Instr {
 	default:
 		return Instr{Dep: x%2 == 0}
 	}
+}
+func (s randStream) NextBatch(buf []Instr) int { return fillBatch(s, buf) }
+func (s randStream) NextMems(buf []MemRef, maxInstr uint64) (int, uint64) {
+	return fillMems(s, buf, maxInstr)
 }
 
 // hashL2 is a stateless L2 stand-in: latency and hit/miss are a function of

@@ -13,7 +13,7 @@ func TestSnapshotRestoreReproducesRun(t *testing.T) {
 	// A core restored from another core's post-warm snapshot must time an
 	// identical stream identically: the snapshot carries every piece of
 	// state Run depends on (L1 contents + dirty bits).
-	mk := func() Stream {
+	mk := func() Source {
 		var ins []Instr
 		for i := 0; i < 96; i++ {
 			ins = append(ins, Instr{IsMem: true, Block: mem.Block(i * 7), IsStore: i%5 == 0})
@@ -71,7 +71,7 @@ func TestRestoreRejectsMismatchedGeometry(t *testing.T) {
 func TestRunFromShiftsTimingByBase(t *testing.T) {
 	// Against a stateless L2, RunFrom(base) must produce exactly Run()'s
 	// cycles plus the base offset: the pipeline model is time-invariant.
-	mk := func() Stream {
+	mk := func() Source {
 		var ins []Instr
 		for i := 0; i < 48; i++ {
 			ins = append(ins, Instr{IsMem: true, Block: mem.Block(i)})
@@ -119,7 +119,7 @@ func TestResumeMatchesContiguousRun(t *testing.T) {
 	// run: the pipeline state (retire/scheduler rings, MSHRs, fetch
 	// frontier) carries across the boundary, so chunked detailed execution
 	// introduces no transient at all.
-	mk := func() Stream {
+	mk := func() Source {
 		var ins []Instr
 		for i := 0; i < 64; i++ {
 			ins = append(ins, Instr{IsMem: true, Block: mem.Block(i * 3), IsStore: i%7 == 0})

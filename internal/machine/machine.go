@@ -25,7 +25,7 @@ const quantum = 4096
 // machine.
 type Machine struct {
 	cores   []*cpu.Core
-	streams []cpu.Stream
+	streams []cpu.Source
 	shared  *Shared
 
 	clocks    []sim.Time
@@ -40,7 +40,7 @@ type Machine struct {
 // two or more cores (a one-core machine has no CMP layers: its core is
 // built over the L2 design itself); the caller has already built each
 // core over shared.Port(i) and called Attach.
-func New(cores []*cpu.Core, streams []cpu.Stream, shared *Shared) *Machine {
+func New(cores []*cpu.Core, streams []cpu.Source, shared *Shared) *Machine {
 	if len(cores) == 0 || len(cores) != len(streams) {
 		panic("machine: need one stream per core")
 	}

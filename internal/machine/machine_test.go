@@ -25,12 +25,32 @@ func (s *sliceStream) Next() cpu.Instr {
 	return in
 }
 
+// NextBatch and NextMems deliver the Next sequence one call at a time.
+func (s *sliceStream) NextBatch(buf []cpu.Instr) int {
+	for i := range buf {
+		buf[i] = s.Next()
+	}
+	return len(buf)
+}
+
+func (s *sliceStream) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {
+	for consumed < maxInstr && n < len(buf) {
+		in := s.Next()
+		consumed++
+		if in.IsMem {
+			buf[n] = cpu.MemRef{Block: in.Block, Store: in.IsStore}
+			n++
+		}
+	}
+	return n, consumed
+}
+
 func load(b mem.Block) cpu.Instr  { return cpu.Instr{IsMem: true, Block: b} }
 func store(b mem.Block) cpu.Instr { return cpu.Instr{IsMem: true, IsStore: true, Block: b} }
 
 // buildCMP assembles an n-core machine over a fresh SNUCA design with the
 // given per-core streams.
-func buildCMP(t *testing.T, n int, streams []cpu.Stream) (*Machine, *Shared, *metrics.Registry) {
+func buildCMP(t *testing.T, n int, streams []cpu.Source) (*Machine, *Shared, *metrics.Registry) {
 	t.Helper()
 	sys := config.DefaultSystem()
 	inst := nuca.NewSNUCA(sys.MemoryLatency)
@@ -60,7 +80,7 @@ func TestSingleCoreMachineMatchesCore(t *testing.T) {
 	inst := nuca.NewSNUCA(sys.MemoryLatency)
 	core := cpu.New(sys, inst)
 	gen := workload.New(spec, 7)
-	m := New([]*cpu.Core{core}, []cpu.Stream{gen}, nil)
+	m := New([]*cpu.Core{core}, []cpu.Source{gen}, nil)
 	m.Warm(warm)
 	got := m.Run(run)
 
@@ -76,7 +96,7 @@ func TestSingleCoreMachineMatchesCore(t *testing.T) {
 // and checks the traffic counters and L1 side effects.
 func TestMSIProtocol(t *testing.T) {
 	b := mem.Block(0x1234)
-	streams := []cpu.Stream{
+	streams := []cpu.Source{
 		&sliceStream{ins: []cpu.Instr{load(b)}},
 		&sliceStream{ins: []cpu.Instr{load(b)}},
 	}
@@ -144,7 +164,7 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 		ins = append(ins, load(b))
 	}
 	ins = append(ins, store(0x40))
-	streams := []cpu.Stream{
+	streams := []cpu.Source{
 		&sliceStream{ins: ins},
 		&sliceStream{ins: []cpu.Instr{load(0x10)}},
 	}
@@ -181,7 +201,7 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 		blocks[i] = mem.Block(i * 65)
 		ins[i] = load(blocks[i])
 	}
-	streams := make([]cpu.Stream, n)
+	streams := make([]cpu.Source, n)
 	for i := range streams {
 		streams[i] = &sliceStream{ins: ins}
 	}
@@ -225,7 +245,7 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 func TestInterleaveAdvancesAllCores(t *testing.T) {
 	spec, _ := workload.SpecByName("gcc")
 	const n = 3
-	streams := make([]cpu.Stream, n)
+	streams := make([]cpu.Source, n)
 	for i := range streams {
 		streams[i] = workload.NewCMPStream(spec, 11, i, workload.SharingSpec{})
 	}
@@ -245,7 +265,7 @@ func TestInterleaveAdvancesAllCores(t *testing.T) {
 		}
 	}
 	// Determinism: an identical machine replays to the identical result.
-	streams2 := make([]cpu.Stream, n)
+	streams2 := make([]cpu.Source, n)
 	for i := range streams2 {
 		streams2[i] = workload.NewCMPStream(spec, 11, i, workload.SharingSpec{})
 	}

@@ -87,11 +87,16 @@ func (o Options) validatePhase(total uint64) error {
 }
 
 // ValidatePhaseFields checks the phase-mode field combination, the part of
-// validation that needs no run length; it is nil outside phase mode. It is
-// the one copy of these checks: tlc.Options.Validate calls it before any
-// simulation starts.
+// validation that needs no run length. Outside phase mode it only rejects
+// negative phase fields, which would otherwise select no mode at all and
+// quietly run unsampled. It is the one copy of these checks:
+// tlc.Options.Validate calls it before any simulation starts.
 func (o Options) ValidatePhaseFields() error {
 	if !o.Phase() {
+		if o.PhaseWindows < 0 || o.PhaseClusters < 0 {
+			return fmt.Errorf("sample: PhaseWindows=%d/PhaseClusters=%d; phase fields cannot be negative",
+				o.PhaseWindows, o.PhaseClusters)
+		}
 		return nil
 	}
 	if o.Intervals > 0 {
@@ -197,12 +202,10 @@ type Target interface {
 // run. observe, if non-nil, is called after each detailed interval.
 // Options must have been validated.
 //
-// On a machine, both phases ride the batched delivery protocol: the
-// fast-forward stretches take cpu.Core.Warm's MemStream fast path
-// (non-memory instructions skipped as run-length counts, bulk L2
-// installs), and the detailed intervals consume cpu.BatchStream batches.
-// Streams that implement neither fall back to scalar Next delivery with
-// identical results.
+// On a machine, both phases ride the one cpu.Source delivery contract: the
+// fast-forward stretches take cpu.Core.Warm's NextMems fills (non-memory
+// instructions skipped as run-length counts, bulk L2 installs), and the
+// detailed intervals consume NextBatch fills.
 func RunTarget(t Target, total uint64, opt Options, observe func(Interval)) Estimate {
 	n := uint64(opt.Intervals)
 	detailed := n * opt.Length

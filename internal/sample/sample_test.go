@@ -26,8 +26,8 @@ func (f *fixedL2) Warm(mem.Block)          {}
 func (f *fixedL2) Contains(mem.Block) bool { return true }
 
 // oneCore is the one-core machine over core and s that sampled runs drive.
-func oneCore(core *cpu.Core, s cpu.Stream) *machine.Machine {
-	return machine.New([]*cpu.Core{core}, []cpu.Stream{s}, nil)
+func oneCore(core *cpu.Core, s cpu.Source) *machine.Machine {
+	return machine.New([]*cpu.Core{core}, []cpu.Source{s}, nil)
 }
 
 func TestValidate(t *testing.T) {

@@ -9,7 +9,7 @@
 // designs' Warm methods touch arrays and shadow tags only — no timing
 // resources, no statistics), so a checkpoint captures the machine exactly
 // and a restored run is bit-identical to one that re-executed the warm-up.
-// The warm-prefix capture is batch-driven (cpu.MemStream run-length
+// The warm-prefix capture is batch-driven (cpu.Source NextMems run-length
 // skipping plus l2.Warmer bulk installs), which the contract survives
 // because batching is pinned bit-identical to scalar delivery: checkpoints
 // written by scalar warm-up and batched warm-up are interchangeable.

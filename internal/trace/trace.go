@@ -120,15 +120,27 @@ func (t *Writer) Close() error {
 	return err
 }
 
+// captureBatch bounds one Capture fill.
+const captureBatch = 4096
+
 // Capture records n instructions from a stream into w and returns the
-// count written.
-func Capture(w io.WriteSeeker, s cpu.Stream, n uint64) (uint64, error) {
+// count written. Instructions are read in NextBatch fills of a bounded
+// buffer.
+func Capture(w io.WriteSeeker, s cpu.Source, n uint64) (uint64, error) {
 	tw, err := NewWriter(w)
 	if err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < n; i++ {
-		tw.Add(s.Next())
+	buf := make([]cpu.Instr, min(n, captureBatch))
+	for remaining := n; remaining > 0; {
+		got := s.NextBatch(buf[:min(remaining, captureBatch)])
+		if got <= 0 {
+			panic("trace: capture stream made no progress")
+		}
+		for _, in := range buf[:got] {
+			tw.Add(in)
+		}
+		remaining -= uint64(got)
 	}
 	if err := tw.Close(); err != nil {
 		return 0, err
@@ -136,7 +148,7 @@ func Capture(w io.WriteSeeker, s cpu.Stream, n uint64) (uint64, error) {
 	return tw.Count(), nil
 }
 
-// Reader replays a recorded trace as a cpu.Stream. Reaching the end of
+// Reader replays a recorded trace as a cpu.Source. Reaching the end of
 // the trace wraps around to the beginning, so a short captured loop can
 // drive an arbitrarily long run (warm-up plus timing).
 type Reader struct {
@@ -193,7 +205,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Len reports the number of records in the trace.
 func (r *Reader) Len() int { return len(r.records) }
 
-// Next implements cpu.Stream, wrapping at the end of the trace.
+// Next returns the next record, wrapping at the end of the trace: the
+// scalar reference NextBatch and NextMems are tested against.
 func (r *Reader) Next() cpu.Instr {
 	in := r.records[r.pos]
 	r.pos++
@@ -203,7 +216,7 @@ func (r *Reader) Next() cpu.Instr {
 	return in
 }
 
-// NextBatch implements cpu.BatchStream: copy runs of records into buf,
+// NextBatch implements cpu.Source: copy runs of records into buf,
 // wrapping at the trace end, so batched delivery is a memcpy instead of one
 // interface call per instruction.
 func (r *Reader) NextBatch(buf []cpu.Instr) int {
@@ -218,7 +231,7 @@ func (r *Reader) NextBatch(buf []cpu.Instr) int {
 	return len(buf)
 }
 
-// NextMems implements cpu.MemStream: scan up to maxInstr records, skipping
+// NextMems implements cpu.Source: scan up to maxInstr records, skipping
 // non-memory instructions and materializing memory operations into buf. The
 // replay position after the call is exactly where the same instructions
 // delivered through Next would have left it.

@@ -136,10 +136,10 @@ func parsePattern(name string) pattern {
 // CMPStream is one core's instruction stream in an N-core CMP run: the
 // benchmark Generator striped into the core's private address space, with
 // an optional fraction of references redirected into a region shared by
-// every core. It implements the full delivery protocol (cpu.Stream,
-// cpu.BatchStream, cpu.MemStream); the redirect decisions draw from a
-// dedicated RNG, one draw per memory operation in stream order, so the
-// scalar, batched, and warm-mode paths stay bit-identical.
+// every core. It implements cpu.Source plus the scalar reference Next; the
+// redirect decisions draw from a dedicated RNG, one draw per memory
+// operation in stream order, so the scalar, batched, and warm-mode paths
+// stay bit-identical.
 type CMPStream struct {
 	g    *Generator
 	rng  *prng
@@ -243,7 +243,8 @@ func (cs *CMPStream) sharedRef() (mem.Block, bool) {
 	return sharedBlockOf(id), isStore
 }
 
-// Next implements cpu.Stream.
+// Next returns the next instruction: the scalar reference the batched
+// methods are tested against.
 func (cs *CMPStream) Next() cpu.Instr {
 	in := cs.g.Next()
 	if in.IsMem {
@@ -252,7 +253,7 @@ func (cs *CMPStream) Next() cpu.Instr {
 	return in
 }
 
-// NextBatch implements cpu.BatchStream: the inner generator fills the
+// NextBatch implements cpu.Source: the inner generator fills the
 // batch, then each memory operation is mapped in order — the identical
 // draw sequence Next produces.
 func (cs *CMPStream) NextBatch(buf []cpu.Instr) int {
@@ -265,7 +266,7 @@ func (cs *CMPStream) NextBatch(buf []cpu.Instr) int {
 	return n
 }
 
-// NextMems implements cpu.MemStream, keeping the warm fast path for CMP
+// NextMems implements cpu.Source, keeping the warm fast path for CMP
 // streams: the inner fused kernel materializes the memory operations, then
 // each is mapped in order (one redirect draw per ref, as in Next).
 func (cs *CMPStream) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {

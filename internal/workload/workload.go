@@ -234,7 +234,8 @@ func (g *Generator) RegisterMetricsPrefixed(r *metrics.Registry, prefix string) 
 // measured interval itself.
 func (g *Generator) Reseed(seed int64) { g.rng.reseed(seed) }
 
-// Next implements cpu.Stream.
+// Next returns the next instruction: the scalar reference NextBatch and
+// NextMems are tested against.
 func (g *Generator) Next() cpu.Instr {
 	g.memCredit += g.spec.MemFrac
 	if g.memCredit < 1 {
@@ -267,7 +268,7 @@ func (g *Generator) Next() cpu.Instr {
 	return cpu.Instr{IsMem: true, IsStore: isStore, Block: blk, Dep: dep}
 }
 
-// NextBatch implements cpu.BatchStream: it fills buf with the identical
+// NextBatch implements cpu.Source: it fills buf with the identical
 // instruction sequence len(buf) Next calls would produce, through the fused
 // kernel in full mode. The batched and scalar paths draw from the RNG in
 // exactly the same order, so they are interchangeable mid-stream
@@ -280,7 +281,7 @@ func (g *Generator) NextBatch(buf []cpu.Instr) int {
 	return len(buf)
 }
 
-// NextMems implements cpu.MemStream, the functional-warm fast path: it
+// NextMems implements cpu.Source, the functional-warm fast path: it
 // consumes up to maxInstr instructions, materializing only the memory
 // operations into buf and skipping the non-memory runs in between — the
 // fused kernel in memory-only mode. The generator's stream position, every

@@ -132,7 +132,7 @@ func refRunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
 // sample.Target, preserving the exact call sequence sampled runs made.
 type refCoreTarget struct {
 	core *cpu.Core
-	s    cpu.Stream
+	s    cpu.Source
 }
 
 func (t refCoreTarget) Warm(n uint64) { t.core.Warm(t.s, n) }

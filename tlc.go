@@ -761,9 +761,9 @@ type rig struct {
 }
 
 // stream is what the pipeline needs of a core's workload stream beyond
-// cpu.Stream; *workload.Generator and *workload.CMPStream provide it.
+// cpu.Source; *workload.Generator and *workload.CMPStream provide it.
 type stream interface {
-	cpu.Stream
+	cpu.Source
 	PreWarm(c l2.Cache)
 	Reseed(seed int64)
 	ResetCounters()
@@ -804,7 +804,7 @@ func newRig(d Design, spec workload.Spec, opt Options, warmSeed int64) *rig {
 		workload.RegisterMetricsSum(reg, gens)
 		shd.RegisterMetrics(reg)
 	}
-	cs := make([]cpu.Stream, n)
+	cs := make([]cpu.Source, n)
 	for i, c := range r.cores {
 		c.SetFast(opt.fidelity() == FidelityFast)
 		c.SetCancel(opt.Cancel)
@@ -1069,12 +1069,16 @@ func RunSampled(d Design, benchmark string, opt Options) (SampledResult, error) 
 // interleaved with functional fast-forwarding, standing in for a full
 // RunInstructions-long detailed run (or, in phase mode, one detailed
 // window per phase cluster; see phase.go).
+//
+// Validation runs in RunSpec's order — Options.Validate, then the sampling
+// plan against RunInstructions — so both entry points report the same
+// error for the same options.
 func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, error) {
-	sopt := opt.SampleOptions()
-	if err := sopt.Validate(opt.RunInstructions); err != nil {
+	if err := opt.Validate(); err != nil {
 		return SampledResult{}, err
 	}
-	if err := opt.Validate(); err != nil {
+	sopt := opt.SampleOptions()
+	if err := sopt.Validate(opt.RunInstructions); err != nil {
 		return SampledResult{}, err
 	}
 	return runSampled(d, spec, opt, sopt)

@@ -258,6 +258,22 @@ func TestValidateRejectsZeroRunInstructions(t *testing.T) {
 	}
 }
 
+// TestRunEntryPointsValidateAlike: Run and RunSampled check options in one
+// order, so an input with several faults gets the same error from both. A
+// sampling plan with no RunInstructions used to get "RunInstructions is 0"
+// from Run but the sampling-plan error from RunSampled.
+func TestRunEntryPointsValidateAlike(t *testing.T) {
+	opt := Options{SampleIntervals: 2, SampleLength: 1000}
+	_, runErr := Run(DesignTLC, "gcc", opt)
+	_, sampledErr := RunSampled(DesignTLC, "gcc", opt)
+	if runErr == nil || sampledErr == nil {
+		t.Fatalf("Run = %v, RunSampled = %v; want both to reject the options", runErr, sampledErr)
+	}
+	if runErr.Error() != sampledErr.Error() {
+		t.Fatalf("Run and RunSampled disagree:\nRun:        %v\nRunSampled: %v", runErr, sampledErr)
+	}
+}
+
 func TestRunSeeds(t *testing.T) {
 	cyc, lookup, _, err := RunSeeds(DesignTLC, "perl", testOptions(), []int64{1, 2, 3})
 	if err != nil {
